@@ -158,38 +158,46 @@ func (m Meta) Generate(seed uint64) []float64 {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
+	s := m.newSampler()
 	rng := urng.NewSplitMix64(seed ^ hashName(m.Name))
 	out := make([]float64, m.Entries)
 	for i := range out {
-		out[i] = m.sample(rng)
+		out[i] = s.sample(rng)
 	}
 	return out
 }
 
 // GenerateN produces n entries regardless of the catalog size — used
-// by the dataset-size sweeps of Figs. 14 and 15.
+// by the dataset-size sweeps of Figs. 14 and 15. Sample i depends only
+// on the generator state after samples 0..i-1, so GenerateN(n, seed)
+// is the first n entries of Generate(seed) whenever n <= Entries.
 func (m Meta) GenerateN(n int, seed uint64) []float64 {
 	mm := m
 	mm.Entries = n
 	return mm.Generate(seed)
 }
 
-func (m Meta) sample(rng *urng.SplitMix64) float64 {
+// normalParams are the location and scale of a parent normal.
+type normalParams struct{ mu, sigma float64 }
+
+// sampler draws one Meta's distribution. Its parameters depend only on
+// the Meta, so they are solved once here rather than per sample.
+type sampler struct {
+	m Meta
+	// p holds the parent normal of TruncNormal, of the CeilingMix
+	// bulk, and of the lognormal's log; Bimodal uses p for its low
+	// mode and p2 for its high mode.
+	p, p2 normalParams
+}
+
+func (m Meta) newSampler() sampler {
+	s := sampler{m: m}
 	switch m.Shape {
 	case SkewedLogNormal:
 		// Lognormal with moments matched to (Mean-Min, Std), then
 		// shifted by Min and truncated.
-		mu, sigma := lognormalParams(m.Mean-m.Min, m.Std)
-		for {
-			v := m.Min + math.Exp(mu+sigma*rng.NormFloat64())
-			if v >= m.Min && v <= m.Max {
-				return v
-			}
-		}
+		s.p = lognormalParams(m.Mean-m.Min, m.Std)
 	case CeilingMix:
-		if rng.Float64() < m.CeilFrac {
-			return m.Max
-		}
 		// Bulk component: match the mixture's moments. The atom at
 		// Max contributes both to the mean and (heavily) to the
 		// variance, so the bulk runs at a reduced mean and std.
@@ -202,40 +210,71 @@ func (m Meta) sample(rng *urng.SplitMix64) float64 {
 		if bulkVar > minStd*minStd {
 			bulkStd = math.Sqrt(bulkVar)
 		}
-		return truncNormal(rng, bulkMean, bulkStd, m.Min, m.Max)
+		s.p = truncNormalParams(bulkMean, bulkStd, m.Min, m.Max)
 	case Bimodal:
 		// Two modes at mean ± std, mixed to preserve the mean.
-		if rng.Float64() < 0.5 {
-			return truncNormal(rng, m.Mean-m.Std*0.9, m.Std*0.45, m.Min, m.Max)
-		}
-		return truncNormal(rng, m.Mean+m.Std*0.9, m.Std*0.45, m.Min, m.Max)
+		s.p = truncNormalParams(m.Mean-m.Std*0.9, m.Std*0.45, m.Min, m.Max)
+		s.p2 = truncNormalParams(m.Mean+m.Std*0.9, m.Std*0.45, m.Min, m.Max)
 	default:
-		return truncNormal(rng, m.Mean, m.Std, m.Min, m.Max)
+		s.p = truncNormalParams(m.Mean, m.Std, m.Min, m.Max)
+	}
+	return s
+}
+
+func (s *sampler) sample(rng *urng.SplitMix64) float64 {
+	m := &s.m
+	switch m.Shape {
+	case SkewedLogNormal:
+		return drawInRange(rng, m.Min, m.Max, func(z float64) float64 {
+			return m.Min + math.Exp(s.p.mu+s.p.sigma*z)
+		})
+	case CeilingMix:
+		if rng.Float64() < m.CeilFrac {
+			return m.Max
+		}
+		return s.p.truncNormal(rng, m.Min, m.Max)
+	case Bimodal:
+		if rng.Float64() < 0.5 {
+			return s.p.truncNormal(rng, m.Min, m.Max)
+		}
+		return s.p2.truncNormal(rng, m.Min, m.Max)
+	default:
+		return s.p.truncNormal(rng, m.Min, m.Max)
 	}
 }
 
-func truncNormal(rng *urng.SplitMix64, mean, std, lo, hi float64) float64 {
-	// Truncation shrinks the sample variance and pulls the mean
-	// toward the interval centre; compensate so the *post-truncation*
-	// moments hit the targets (UJIIndoorLoc's std is 32% of its
-	// range — uncompensated it would generate ~25% low).
-	mu, sigma := truncNormalParams(mean, std, lo, hi)
+// truncNormal draws N(mu, sigma²) restricted to [lo, hi].
+func (p normalParams) truncNormal(rng *urng.SplitMix64, lo, hi float64) float64 {
+	return drawInRange(rng, lo, hi, func(z float64) float64 { return p.mu + p.sigma*z })
+}
+
+// drawInRange returns the first of up to 1000 draws f(z), z standard
+// normal, that lands in [lo, hi]. Under pathological parameters it
+// falls back to clamping one more draw; a NaN draw (non-finite
+// parameters) clamps to lo.
+func drawInRange(rng *urng.SplitMix64, lo, hi float64, f func(z float64) float64) float64 {
 	for i := 0; i < 1000; i++ {
-		v := mu + sigma*rng.NormFloat64()
+		v := f(rng.NormFloat64())
 		if v >= lo && v <= hi {
 			return v
 		}
 	}
-	// Pathological truncation: fall back to clamping.
-	v := mu + sigma*rng.NormFloat64()
+	v := f(rng.NormFloat64())
+	if math.IsNaN(v) {
+		return lo
+	}
 	return math.Max(lo, math.Min(hi, v))
 }
 
 // truncNormalParams finds (mu, sigma) of the parent normal whose
 // [lo, hi]-truncation has approximately the target mean and std, by
-// alternating a mean correction with a bisection on sigma.
-func truncNormalParams(mean, std, lo, hi float64) (mu, sigma float64) {
-	mu, sigma = mean, std
+// alternating a mean correction with a bisection on sigma. Truncation
+// shrinks the sample variance and pulls the mean toward the interval
+// centre; solving for the parent makes the *post-truncation* moments
+// hit the targets (UJIIndoorLoc's std is 32% of its range —
+// uncompensated it would generate ~25% low).
+func truncNormalParams(mean, std, lo, hi float64) normalParams {
+	mu, sigma := mean, std
 	for iter := 0; iter < 4; iter++ {
 		// Bisection on sigma so the truncated std matches.
 		loS, hiS := std, 6*std
@@ -252,7 +291,7 @@ func truncNormalParams(mean, std, lo, hi float64) (mu, sigma float64) {
 		m, _ := truncMoments(mu, sigma, lo, hi)
 		mu += mean - m
 	}
-	return mu, sigma
+	return normalParams{mu, sigma}
 }
 
 // truncMoments returns the mean and std of N(mu, sigma²) truncated to
@@ -277,13 +316,12 @@ func stdPDF(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) 
 
 func stdCDF(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
 
-// lognormalParams solves for (mu, sigma) of a lognormal with the
-// given mean and standard deviation.
-func lognormalParams(mean, std float64) (mu, sigma float64) {
+// lognormalParams solves for (mu, sigma) of the normal whose exponential
+// is a lognormal with the given mean and standard deviation.
+func lognormalParams(mean, std float64) normalParams {
 	v := std * std / (mean * mean)
-	sigma = math.Sqrt(math.Log(1 + v))
-	mu = math.Log(mean) - sigma*sigma/2
-	return
+	sigma := math.Sqrt(math.Log(1 + v))
+	return normalParams{math.Log(mean) - sigma*sigma/2, sigma}
 }
 
 func hashName(s string) uint64 {

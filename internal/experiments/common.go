@@ -110,7 +110,13 @@ func loadData(cfg Config, m dataset.Meta) []float64 {
 			return capEntries(xs, cfg.MaxEntries)
 		}
 	}
-	return capEntries(m.Generate(cfg.Seed), cfg.MaxEntries)
+	// GenerateN(n) is a prefix of Generate (TestGenerateNIsPrefix), so
+	// generating only the capped rows is exact.
+	n := m.Entries
+	if cfg.MaxEntries > 0 {
+		n = min(n, cfg.MaxEntries)
+	}
+	return m.GenerateN(n, cfg.Seed)
 }
 
 // capEntries truncates data to the configured cap.
