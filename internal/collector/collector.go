@@ -23,6 +23,9 @@
 // receive queue: a slow shard lets frames overflow there, which looks
 // exactly like packet loss, and the node's retry loop recovers it.
 //
+// Idle ticks and reactor goroutines come from Config.Clock: wall time
+// by default, simulated time under the fleet harness.
+//
 // Node state is confined to its shard and every per-node decision
 // depends only on that node's own report stream, so any shard count
 // produces bit-identical per-node values, stats, and breaker
@@ -45,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ulpdp/internal/clock"
 	"ulpdp/internal/nvm"
 	"ulpdp/internal/obs"
 	"ulpdp/internal/transport"
@@ -84,15 +88,10 @@ type Config struct {
 	// per-node empty 2ms poll.
 	PollTimeout time.Duration
 	// Shards is the number of independent ingest shards (default 8,
-	// clamped to [1, 1024]). Each shard runs one reactor goroutine
+	// clamped to [1, MaxShards]). Each shard runs one reactor goroutine
 	// and owns the dedup/breaker/stats state of the nodes hashed to
 	// it. Per-node results are bit-identical for any shard count.
 	Shards int
-	// QueueCap is retained for configuration compatibility. The
-	// event-driven reactor has no shared ingest queue — pending
-	// frames wait in each link's own bounded receive queue — so the
-	// value is ignored.
-	QueueCap int
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// node's breaker (default 8).
 	BreakerThreshold int
@@ -107,11 +106,13 @@ type Config struct {
 	// Obs is an optional telemetry plane. Nil costs one nil check per
 	// event.
 	Obs *Metrics
-
-	// procDelay stalls a shard per report; tests use it to force
-	// slow-consumer backpressure deterministically.
-	procDelay time.Duration
+	// Clock paces the idle tick and runs the shard reactors (nil =
+	// clock.Real).
+	Clock clock.Clock
 }
+
+// MaxShards is the largest shard count a collector runs.
+const MaxShards = 1024
 
 // Stats counts collector events; read a snapshot with Collector.Stats.
 // Counters are lock-striped per shard and summed on read.
@@ -121,11 +122,6 @@ type Stats struct {
 	// Duplicates counts re-deliveries of an already-recorded
 	// (node, seq); they are re-ACKed but change nothing.
 	Duplicates uint64
-	// Backpressure counts reports shed by the legacy shared ingest
-	// queue. The sharded reactor has no such queue — backpressure now
-	// surfaces as transport.Stats.Overflow on the link — so this is
-	// always 0; the field survives for schema compatibility.
-	Backpressure uint64
 	// BreakerDrops counts reports discarded by an open breaker.
 	BreakerDrops uint64
 	// Timeouts counts per-node idle ticks (a node delivering nothing
@@ -142,7 +138,6 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.Accepted += o.Accepted
 	s.Duplicates += o.Duplicates
-	s.Backpressure += o.Backpressure
 	s.BreakerDrops += o.BreakerDrops
 	s.Timeouts += o.Timeouts
 	s.FailClosed += o.FailClosed
@@ -291,13 +286,13 @@ type shard struct {
 	stats Stats
 
 	// ready is the coalesced readiness queue (each node at most once,
-	// enforced by nodeState.pending); wake is its level-triggered
-	// doorbell. awake is set while the reactor is draining so pushes
-	// landing mid-drain skip the doorbell send — the reactor re-checks
-	// the queue before parking, so no wakeup is lost.
+	// enforced by nodeState.pending); wake is its doorbell. awake is
+	// set while the reactor is draining so pushes landing mid-drain
+	// skip the ring — the reactor re-checks the queue before parking,
+	// so no wakeup is lost.
 	readyMu sync.Mutex
 	ready   []transport.NodeID
-	wake    chan struct{}
+	wake    clock.Bell
 	awake   atomic.Bool
 
 	// Reactor-goroutine scratch, reused across batches so the
@@ -317,11 +312,11 @@ type shard struct {
 
 // Collector ingests, dedups, ACKs, and aggregates fleet reports.
 type Collector struct {
-	cfg    Config
-	store  *Store
-	shards []*shard
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	cfg     Config
+	store   *Store
+	shards  []*shard
+	stopped atomic.Bool
+	wg      sync.WaitGroup
 }
 
 // New starts a volatile collector (its shard reactors run until
@@ -368,8 +363,8 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
 	}
-	if cfg.Shards > 1024 {
-		cfg.Shards = 1024
+	if cfg.Shards > MaxShards {
+		cfg.Shards = MaxShards
 	}
 	if store != nil {
 		// The node→shard hash depends on the shard count, and each
@@ -386,17 +381,17 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 4096
 	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	c := &Collector{
 		cfg:    cfg,
 		store:  store,
 		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
 	}
 	for i := range c.shards {
 		sh := &shard{
 			c:     c,
 			nodes: make(map[transport.NodeID]*nodeState),
-			wake:  make(chan struct{}, 1),
+			wake:  cfg.Clock.NewBell(),
 		}
 		if store != nil {
 			sh.j = store.Shard(i)
@@ -408,7 +403,7 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	}
 	for _, sh := range c.shards {
 		c.wg.Add(1)
-		go sh.run()
+		cfg.Clock.Go(sh.run)
 	}
 	return c, nil
 }
@@ -518,7 +513,10 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 
 // Close stops every shard reactor and waits for them.
 func (c *Collector) Close() {
-	close(c.stop)
+	c.stopped.Store(true)
+	for _, sh := range c.shards {
+		sh.wake.Ring()
+	}
 	c.wg.Wait()
 }
 
@@ -537,26 +535,25 @@ func (sh *shard) push(id transport.NodeID) {
 	if sh.awake.Load() {
 		return
 	}
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
+	sh.wake.Ring()
 }
 
-// run is the shard reactor: sleep until a link announces frames (or
-// the idle tick fires), then drain exactly the ready links.
+// run is the shard reactor: park until a link announces frames (drain
+// exactly the ready links) or the next idle tick is due (run it).
 func (sh *shard) run() {
 	defer sh.c.wg.Done()
-	tick := time.NewTicker(sh.c.cfg.PollTimeout)
-	defer tick.Stop()
+	clk, period := sh.c.cfg.Clock, sh.c.cfg.PollTimeout
+	next := clk.Now() + period
 	for {
-		select {
-		case <-sh.c.stop:
+		rung := sh.wake.Park(next, true)
+		if sh.c.stopped.Load() {
 			return
-		case <-sh.wake:
+		}
+		if rung {
 			sh.drainAll()
-		case <-tick.C:
+		} else {
 			sh.idleTick()
+			next = clk.Now() + period
 		}
 	}
 }
@@ -575,10 +572,7 @@ func (sh *shard) drainAll() {
 	again := len(sh.ready) > 0
 	sh.readyMu.Unlock()
 	if again {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
+		sh.wake.Ring()
 	}
 }
 
@@ -613,9 +607,6 @@ func (sh *shard) drain() bool {
 			}
 			if pkt.Kind != transport.KindReport || pkt.Node != id {
 				continue // stray or echoed frame; the checksum already passed, but it is not ours
-			}
-			if d := sh.c.cfg.procDelay; d > 0 {
-				time.Sleep(d)
 			}
 			sh.handleLocked(id, ns, pkt)
 			batch++

@@ -15,13 +15,11 @@ const EvBreaker = "collector.breaker"
 //
 // QueueDepth is sampled once per drained reactor batch (the number of
 // reports that pass pulled off the wire) rather than written on every
-// enqueue and dequeue; Backpressure is retained for schema
-// compatibility but stays 0 on the sharded reactor, where
-// backpressure surfaces as transport overflow instead.
+// enqueue and dequeue. Backpressure has no counter here: it surfaces
+// as transport overflow on the link.
 type Metrics struct {
 	Accepted     *obs.Counter
 	Duplicates   *obs.Counter
-	Backpressure *obs.Counter
 	BreakerDrops *obs.Counter
 	Timeouts     *obs.Counter
 
@@ -56,7 +54,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		Accepted:     r.Counter("collector.accepted"),
 		Duplicates:   r.Counter("collector.duplicates"),
-		Backpressure: r.Counter("collector.backpressure"),
 		BreakerDrops: r.Counter("collector.breaker_drops"),
 		Timeouts:     r.Counter("collector.timeouts"),
 

@@ -23,8 +23,8 @@ import (
 	"math"
 	"sync"
 
-	"ulpdp/internal/core"
 	"ulpdp/internal/cordic"
+	"ulpdp/internal/core"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/laplace"
 	"ulpdp/internal/obs"

@@ -15,17 +15,27 @@
 // Everything is derived from one master seed — URNG streams, link
 // schedules, backoff jitter, post-crash reseeds — so a failing grid
 // point reproduces exactly.
+//
+// Every run executes on a discrete-event virtual clock
+// (internal/clock): ACK waits, backoff pauses and idle ticks take
+// simulated time, which jumps ahead whenever every node worker, shard
+// reactor and the collector supervisor is parked. A run is bound by
+// its work, not by its timers; Result.SimElapsed reports the
+// simulated time it took.
 package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"ulpdp/internal/clock"
 	"ulpdp/internal/collector"
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/fault"
@@ -52,7 +62,8 @@ type Config struct {
 	// (0 = never). The crash lands after noising — possibly mid-
 	// retry, before the ACK — so recovery must replay, not redraw.
 	CrashEvery int
-	// Deadline bounds the whole run (default 2 minutes).
+	// Deadline bounds the whole run in wall time (default 2 minutes):
+	// a real-time watchdog over the simulated run.
 	Deadline time.Duration
 	// BreakerThreshold overrides the collector's breaker threshold
 	// (default 64: chaos stalls shouldn't wedge a healthy node, and
@@ -109,6 +120,52 @@ type Config struct {
 	Burn *obs.BurnAlerter
 }
 
+// maxNodes is the largest fleet the wire can address:
+// transport.NodeID (and the flight recorder's span key) is 16 bits.
+const maxNodes = 1 << 16
+
+// Validate reports whether the configuration is usable. Zero fields
+// are valid and take their defaults in Run; Validate rejects what a
+// run cannot represent or would otherwise reinterpret silently.
+func (c Config) Validate() error {
+	if c.Nodes < 0 || c.Nodes > maxNodes {
+		return fmt.Errorf("fleet: nodes %d outside [0, %d] (node ids are 16 bits)", c.Nodes, maxNodes)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"reports", c.Reports}, {"crash-every", c.CrashEvery},
+		{"breaker threshold", c.BreakerThreshold}, {"workers", c.Workers},
+		{"compact-every", c.CompactEvery},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("fleet: negative %s %d", f.name, f.v)
+		}
+	}
+	if c.Shards < 0 || c.Shards > collector.MaxShards {
+		return fmt.Errorf("fleet: shards %d outside [0, %d]", c.Shards, collector.MaxShards)
+	}
+	if !(c.Budget >= 0) {
+		return fmt.Errorf("fleet: budget %g nats, want >= 0", c.Budget)
+	}
+	if c.Deadline < 0 {
+		return fmt.Errorf("fleet: negative deadline %v", c.Deadline)
+	}
+	for i, w := range c.CollectorCrashes {
+		if w < 0 {
+			return fmt.Errorf("fleet: collector crash %d at negative word %d", i, w)
+		}
+		if i > 0 && w <= c.CollectorCrashes[i-1] {
+			return fmt.Errorf("fleet: collector crashes not strictly ascending at %d", w)
+		}
+	}
+	if c.Obs == nil && (c.Flight != nil || c.Burn != nil) {
+		return errors.New("fleet: Flight and Burn require Obs")
+	}
+	return nil
+}
+
 // NodeResult is the per-node evidence the invariants are checked
 // against.
 type NodeResult struct {
@@ -159,6 +216,11 @@ type Result struct {
 	// BurnAlert reports that the burn-rate alerter tripped at any
 	// point during the run (latched; false without Config.Burn).
 	BurnAlert bool
+	// SimElapsed is the simulated time the run took on its virtual
+	// clock: ACK waits, backoff pauses and idle ticks, with all
+	// computation taking none. A lossless run that never retransmits
+	// takes 0.
+	SimElapsed time.Duration
 	// Resumed reports that prior durable state was found under
 	// Config.NVMDir and recovered — the collector's checkpoint store
 	// or at least one node journal — instead of starting fresh. A
@@ -212,9 +274,13 @@ type colSupervisor struct {
 	recoveries int
 	broken     bool // recovery failed; stop supervising
 
-	stop chan struct{}
-	done chan struct{}
+	bell    clock.Bell // the watcher's tick and stop signal
+	stopped atomic.Bool
+	done    chan struct{}
 }
+
+// superviseEvery is the crash watcher's tick on the run's clock.
+const superviseEvery = 200 * time.Microsecond
 
 func newColSupervisor(cfg collector.Config, store *collector.Store, col *collector.Collector, schedule []int, violate func(string, ...any)) *colSupervisor {
 	s := &colSupervisor{
@@ -223,7 +289,6 @@ func newColSupervisor(cfg collector.Config, store *collector.Store, col *collect
 		violate: violate,
 		col:     col,
 		ends:    make(map[transport.NodeID]*transport.Endpoint),
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	if store != nil {
@@ -250,30 +315,33 @@ func (s *colSupervisor) arm() {
 	s.store.FailAfterWrites(delta)
 }
 
-// watch starts the crash watcher. The store dies between two word
-// writes at the armed point; the watcher notices within a tick and
-// runs the recovery. Detection latency only widens the fail-closed
-// window — it never changes what was ACKed, so results stay exact.
-func (s *colSupervisor) watch() {
+// watch starts the crash watcher, an actor on the run's clock. The
+// store dies between two word writes at the armed point; the watcher
+// notices within a tick and runs the recovery. Detection latency only
+// widens the fail-closed window — it never changes what was ACKed, so
+// results stay exact.
+func (s *colSupervisor) watch(clk clock.Clock) {
 	if s.store == nil || len(s.schedule) == 0 {
 		close(s.done)
 		return
 	}
-	go func() {
+	s.bell = clk.NewBell()
+	clk.Go(func() {
 		defer close(s.done)
-		t := time.NewTicker(200 * time.Microsecond)
-		defer t.Stop()
+		next := clk.Now() + superviseEvery
 		for {
-			select {
-			case <-s.stop:
+			rung := s.bell.Park(next, true)
+			if s.stopped.Load() {
 				return
-			case <-t.C:
+			}
+			if !rung {
+				next = clk.Now() + superviseEvery
 				if s.store.Dead() {
 					s.recover()
 				}
 			}
 		}
-	}()
+	})
 }
 
 // recover replaces the dead collector with one rebuilt from the
@@ -314,11 +382,14 @@ func (s *colSupervisor) attach(id transport.NodeID, end *transport.Endpoint) err
 	return s.col.Attach(id, end)
 }
 
-// finish stops the watcher, absorbs a crash that fired during final
-// quiescence (e.g. inside a trailing compaction), and hands back the
-// live collector for the end-of-run reads.
+// finish stops the watcher, absorbs a crash that fired while the run
+// settled (e.g. inside a trailing compaction), and hands back the live
+// collector for the end-of-run reads.
 func (s *colSupervisor) finish() (*collector.Collector, int) {
-	close(s.stop)
+	s.stopped.Store(true)
+	if s.bell != nil {
+		s.bell.Ring()
+	}
 	<-s.done
 	if s.store != nil && s.store.Dead() {
 		s.recover()
@@ -326,16 +397,6 @@ func (s *colSupervisor) finish() (*collector.Collector, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.col, s.recoveries
-}
-
-// frameEvents sums the collector counters that advance only when a
-// report frame is processed — the quiesce loop's progress signal.
-// Idle-tick timeouts are deliberately excluded: they tick forever.
-func (s *colSupervisor) frameEvents() uint64 {
-	s.mu.Lock()
-	st := s.col.Stats()
-	s.mu.Unlock()
-	return st.Accepted + st.Duplicates + st.BreakerDrops + st.FailClosed
 }
 
 func (s *colSupervisor) close() {
@@ -372,8 +433,12 @@ func boxConfig(urngSeed uint64, j *dpbox.Journal, m *dpbox.Metrics, ch int) dpbo
 // reading is the deterministic sensor trace: node i's r-th reading.
 func reading(i, r int) int64 { return int64((3*i + 5*r) % 17) }
 
-// Run executes one fleet run and gathers the evidence.
+// Run validates cfg, executes one fleet run on a fresh virtual clock
+// and gathers the evidence.
 func Run(cfg Config) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
@@ -390,8 +455,13 @@ func Run(cfg Config) (Result, error) {
 		cfg.BreakerThreshold = 64
 	}
 
+	clk := clock.NewVirtual()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
 	defer cancel()
+	// The deadline is a wall-time watchdog that simulated time cannot
+	// see: when it fires, it ends simulated time, releasing every
+	// parked actor to notice the expired context.
+	defer context.AfterFunc(ctx, clk.Close)()
 
 	// One telemetry plane per layer, all over the same registry. The
 	// box plane's odometer has one channel per node.
@@ -445,6 +515,7 @@ func Run(cfg Config) (Result, error) {
 		Shards:           cfg.Shards,
 		CompactEvery:     cfg.CompactEvery,
 		Obs:              colM,
+		Clock:            clk,
 	}
 	var sup *colSupervisor
 	if cfg.NVMDir != "" || cfg.Durable || len(cfg.CollectorCrashes) > 0 {
@@ -478,13 +549,13 @@ func Run(cfg Config) (Result, error) {
 		sup = newColSupervisor(colCfg, nil, collector.New(colCfg), nil, violate)
 	}
 	defer sup.close()
-	sup.watch()
+	sup.watch(clk)
 
 	links := make([]*transport.Link, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		fp := fault.NewPlane()
 		fp.SetPacketFault(fault.LossyLink(subSeed(cfg.Seed, seedLink, i, 0), cfg.Link))
-		links[i] = transport.NewLink(transport.LinkConfig{Plane: fp, Obs: linkM})
+		links[i] = transport.NewLink(transport.LinkConfig{Plane: fp, Obs: linkM, Clock: clk})
 	}
 
 	runNode := func(i int) {
@@ -551,6 +622,7 @@ func Run(cfg Config) (Result, error) {
 			MaxAttempts: 64,
 			JitterSeed:  subSeed(cfg.Seed, seedJitter, i, 0),
 			Obs:         nodeM,
+			Clock:       clk,
 		}
 		agent := node.NewReportAgent(box, links[i].NodeEnd(), agentCfg)
 
@@ -673,15 +745,19 @@ func Run(cfg Config) (Result, error) {
 		workers = cfg.Nodes
 	}
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runNode(i)
-			}
-		}()
-	}
+	wg.Add(workers)
+	// Start the workers from one actor, so no simulated time passes
+	// before the last of them exists: every worker starts at time 0.
+	clk.Go(func() {
+		for w := 0; w < workers; w++ {
+			clk.Go(func() {
+				defer wg.Done()
+				for i := range idx {
+					runNode(i)
+				}
+			})
+		}
+	})
 	for i := 0; i < cfg.Nodes; i++ {
 		idx <- i
 	}
@@ -698,20 +774,14 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	// Quiesce before the final recovery check and reads: every report
-	// is ACKed, but stale duplicate frames can still be in flight (or
-	// held back for reordering), and processing them after the final
-	// snapshot would make recover/replay counters and span chains
-	// timing-dependent. Wait for the uplinks to drain and the
-	// collector's frame-driven counters to stop moving, so identical
-	// seeds yield identical final snapshots.
-	quiesce(ctx, links, sup)
+	settle(ctx, clk, links)
 
 	// Final reads go through the supervisor: the collector in place now
 	// may be the n-th recovered instance, and its recovered state must
 	// carry everything any of its predecessors ever ACKed.
 	col, recoveries := sup.finish()
 	res.CollectorRecoveries = recoveries
+	res.SimElapsed = clk.Now()
 	if sup.store != nil {
 		res.CheckpointWords = sup.store.Writes() - sup.base
 	}
@@ -751,35 +821,27 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// quiesce polls until the air is silent — no frames queued or held on
-// any uplink — and the collector's frame-driven counters (accepted,
-// duplicates, breaker drops, fail-closed; idle-tick timeouts excluded,
-// they never stop) hold still for a few consecutive samples. Bounded
-// by the run deadline and a small grace window: quiescence is a
-// determinism aid, not a liveness requirement.
-func quiesce(ctx context.Context, links []*transport.Link, sup *colSupervisor) {
-	deadline := time.Now().Add(100 * time.Millisecond)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	prev := sup.frameEvents()
-	settle := 0
-	for time.Now().Before(deadline) && ctx.Err() == nil {
+// settle runs before the final recovery check and reads. Every report
+// is ACKed, but stale duplicate frames can still be queued or held
+// back for reordering, and processing them after the final snapshot
+// would make recover/replay counters and span chains depend on timing.
+// settle waits until every actor on the clock is parked with no
+// deadline pending and no frame is left on any uplink. Holdbacks on
+// links gone silent are released here: with every node done, no
+// deadline remains to drive the idle tick that would flush them.
+func settle(ctx context.Context, clk *clock.Virtual, links []*transport.Link) {
+	for {
+		clk.WaitIdle()
 		pending := 0
 		for _, l := range links {
 			pending += l.CollectorEnd().Pending()
 		}
-		cur := sup.frameEvents()
-		if pending == 0 && cur == prev {
-			settle++
-			if settle >= 3 {
-				return
-			}
-		} else {
-			settle = 0
+		if pending == 0 || ctx.Err() != nil {
+			return
 		}
-		prev = cur
-		time.Sleep(time.Millisecond)
+		for _, l := range links {
+			l.CollectorEnd().FlushHeld()
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"testing"
@@ -280,5 +281,75 @@ func TestSeedChangesValues(t *testing.T) {
 	}
 	if len(CompareRuns(a, b)) == 0 {
 		t.Fatal("different seeds produced identical fleets")
+	}
+}
+
+// TestFleetLosslessIsExact: on the virtual clock a lossless fleet
+// never waits out a timer, so nothing is retransmitted, no idle tick
+// fires and no simulated time passes.
+func TestFleetLosslessIsExact(t *testing.T) {
+	cfg := Config{Nodes: 256, Reports: 16, Seed: gridSeed(t), Workers: 16, Shards: 8}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", head(res.Violations, 5))
+	}
+	if res.Collector.Duplicates != 0 || res.Collector.Timeouts != 0 {
+		t.Errorf("collector %+v: want no duplicates and no idle ticks", res.Collector)
+	}
+	if want := uint64(2 * cfg.Nodes * cfg.Reports); res.Link.Sent != want {
+		t.Errorf("link sent %d frames, want %d (one report and one ACK each)", res.Link.Sent, want)
+	}
+	if res.SimElapsed != 0 {
+		t.Errorf("simulated time %v, want 0", res.SimElapsed)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"zero value takes defaults", Config{}, true},
+		{"largest addressable fleet", Config{Nodes: maxNodes}, true},
+		{"node id would wrap", Config{Nodes: maxNodes + 1}, false},
+		{"negative nodes", Config{Nodes: -1}, false},
+		{"negative reports", Config{Reports: -1}, false},
+		{"negative budget", Config{Budget: -1}, false},
+		{"NaN budget", Config{Budget: math.NaN()}, false},
+		{"negative crash-every", Config{CrashEvery: -2}, false},
+		{"negative deadline", Config{Deadline: -time.Second}, false},
+		{"negative breaker threshold", Config{BreakerThreshold: -1}, false},
+		{"negative workers", Config{Workers: -1}, false},
+		{"negative shards", Config{Shards: -1}, false},
+		{"too many shards", Config{Shards: 1025}, false},
+		{"negative compact-every", Config{CompactEvery: -1}, false},
+		{"ascending crash words", Config{CollectorCrashes: []int{0, 5, 9}}, true},
+		{"negative crash word", Config{CollectorCrashes: []int{-1}}, false},
+		{"descending crash words", Config{CollectorCrashes: []int{9, 5}}, false},
+		{"repeated crash word", Config{CollectorCrashes: []int{5, 5}}, false},
+		{"flight without obs", Config{Flight: obs.NewFlightRecorder(16)}, false},
+		{"burn without obs", Config{Burn: new(obs.BurnAlerter)}, false},
+		{"flight with obs", Config{Obs: reg, Flight: obs.NewFlightRecorder(16)}, true},
+	} {
+		err := tc.cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+
+	// Run rejects before building anything: the 65,537-node fleet whose
+	// last id would wrap to 0 fails at once instead of after every node
+	// has been built.
+	start := time.Now()
+	if _, err := Run(Config{Nodes: maxNodes + 1}); err == nil {
+		t.Fatal("Run accepted a fleet wider than the 16-bit node id")
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("Run took %v to reject an invalid config", el)
 	}
 }

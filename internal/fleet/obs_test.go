@@ -27,7 +27,6 @@ var goldenNames = []string{
 	"burn.fast_burn_milli",
 	"burn.slow_burn_milli",
 	"collector.accepted",
-	"collector.backpressure",
 	"collector.breaker.closed",
 	"collector.breaker.half_opened",
 	"collector.breaker.opened",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"ulpdp/internal/clock"
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/obs"
 	"ulpdp/internal/transport"
@@ -45,6 +46,9 @@ type AgentConfig struct {
 	// Obs is an optional telemetry plane, usually shared across every
 	// agent of a fleet. Nil costs one nil check per report.
 	Obs *Metrics
+	// Clock times the ACK wait and the backoff pause (nil =
+	// clock.Real). It should be the clock of the agent's link.
+	Clock clock.Clock
 }
 
 // ReportOutcome describes one delivered (or abandoned) report.
@@ -81,9 +85,10 @@ type ReportOutcome struct {
 // construction (the paper's DP-Box serves one transaction at a time
 // anyway).
 type ReportAgent struct {
-	box *dpbox.DPBox
-	end *transport.Endpoint
-	cfg AgentConfig
+	box   *dpbox.DPBox
+	end   *transport.Endpoint
+	cfg   AgentConfig
+	sleep clock.Bell // backoff pauses; never rung
 
 	next      uint64
 	jitter    uint64
@@ -114,10 +119,12 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = uint64(cfg.ID)*0x9E3779B97F4A7C15 + 1
 	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	return &ReportAgent{
 		box:    box,
 		end:    end,
 		cfg:    cfg,
+		sleep:  cfg.Clock.NewBell(),
 		next:   box.NextSeq(),
 		jitter: cfg.JitterSeed,
 	}
@@ -276,9 +283,9 @@ func (a *ReportAgent) deliverLoop(ctx context.Context, pkt transport.Packet, bud
 			if m := a.cfg.Obs; m != nil {
 				m.BackoffNs.Add(uint64(pause))
 			}
-			if !sleepCtx(ctx, pause) {
-				return attempt, fmt.Errorf("node: delivering seq %d: %w", pkt.Seq, ctx.Err())
-			}
+			// A context that expires mid-pause is caught at the top of
+			// the next attempt.
+			a.sleep.Park(a.cfg.Clock.Now()+pause, false)
 		}
 	}
 	return budget, fmt.Errorf("node: seq %d unacked after %d attempts: %w", pkt.Seq, budget, ErrAbandoned)
@@ -288,9 +295,10 @@ func (a *ReportAgent) deliverLoop(ctx context.Context, pkt transport.Packet, bud
 // stale ACKs (earlier sequence numbers, duplicate deliveries) without
 // giving up the window.
 func (a *ReportAgent) awaitAck(ctx context.Context, seq uint64) bool {
-	deadline := time.Now().Add(a.cfg.AckWait)
+	clk := a.cfg.Clock
+	deadline := clk.Now() + a.cfg.AckWait
 	for {
-		remain := time.Until(deadline)
+		remain := deadline - clk.Now()
 		if remain <= 0 || ctx.Err() != nil {
 			return false
 		}
@@ -308,18 +316,5 @@ func (a *ReportAgent) awaitAck(ctx context.Context, seq uint64) bool {
 		if ack.Seq == seq {
 			return true
 		}
-	}
-}
-
-// sleepCtx pauses for d unless the context expires first; it reports
-// whether the full pause completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }

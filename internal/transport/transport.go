@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ulpdp/internal/clock"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
 )
@@ -185,6 +186,8 @@ type LinkConfig struct {
 	// Obs is an optional telemetry plane, usually shared across every
 	// link of a fleet. Nil costs one nil check per event.
 	Obs *Metrics
+	// Clock times Recv's deadline (nil = clock.Real).
+	Clock clock.Clock
 }
 
 // held is a frame waiting out its reorder delay.
@@ -207,8 +210,8 @@ type pipe struct {
 	head int      // buf[head] is the next frame out
 	n    int      // frames queued
 
-	waiters atomic.Int32  // blocked Recv calls
-	bell    chan struct{} // cap-1 doorbell for those waiters
+	waiters atomic.Int32 // blocked Recv calls
+	bell    clock.Bell   // doorbell for those waiters
 
 	// notify, when set, is fired (outside mu) after one or more frames
 	// land in the ring: the receiving end's readiness hook. See
@@ -243,6 +246,7 @@ type linkStats struct {
 type Link struct {
 	plane *fault.Plane
 	obs   *Metrics
+	clk   clock.Clock
 	up    *pipe
 	down  *pipe
 	stats linkStats
@@ -254,11 +258,13 @@ func NewLink(cfg LinkConfig) *Link {
 	if cap <= 0 {
 		cap = 64
 	}
+	clk := clock.Or(cfg.Clock)
 	return &Link{
 		plane: cfg.Plane,
 		obs:   cfg.Obs,
-		up:    &pipe{buf: make([]*frame, cap), bell: make(chan struct{}, 1)},
-		down:  &pipe{buf: make([]*frame, cap), bell: make(chan struct{}, 1)},
+		clk:   clk,
+		up:    &pipe{buf: make([]*frame, cap), bell: clk.NewBell()},
+		down:  &pipe{buf: make([]*frame, cap), bell: clk.NewBell()},
 	}
 }
 
@@ -457,10 +463,7 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 		m.Delivered.Inc()
 	}
 	if p.n == 1 && p.waiters.Load() != 0 {
-		select {
-		case p.bell <- struct{}{}:
-		default:
-		}
+		p.bell.Ring()
 	}
 	return 1
 }
@@ -488,36 +491,31 @@ func (e *Endpoint) flushHeld() {
 	}
 }
 
-// Recv waits up to timeout for the next valid frame on this end.
-// Corrupt frames are discarded (counted in Stats) without consuming
-// the timeout budget's purpose: the wait continues until a valid frame
-// or the deadline. When the queue idles past the deadline, any frames
-// still held back for reordering are flushed and collected — a delayed
-// frame is late, never lost.
+// Recv waits up to timeout on the link's clock for the next valid
+// frame on this end. Corrupt frames are discarded (counted in Stats)
+// and the wait continues until a valid frame or the deadline. When the
+// queue idles past the deadline, any frames still held back for
+// reordering are flushed and collected — a delayed frame is late,
+// never lost. One goroutine at a time may block in Recv on an end.
 func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
 	if p, ok := e.TryRecv(); ok {
 		return p, true
 	}
 	pi := e.recvPipe
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	deadline := e.link.clk.Now() + timeout
 	// Announce the wait before the re-check: a sender that enqueued
 	// after our TryRecv either sees waiters != 0 and rings the bell,
-	// or enqueued before the re-check sees its frame. Stale bell
-	// tokens from past waits only cause one spurious loop.
+	// or enqueued before the re-check sees its frame. Stale rings
+	// from past waits only cause one spurious loop.
 	pi.waiters.Add(1)
 	defer pi.waiters.Add(-1)
 	for {
 		if p, ok := e.TryRecv(); ok {
 			return p, true
 		}
-		select {
-		case <-pi.bell:
-			// The ring went nonempty at some point; re-check.
-		case <-deadline.C:
-			// Last chance: release holdbacks and drain what is
-			// already queued. Never re-enter the select here — the
-			// timer has fired and would never fire again.
+		if !pi.bell.Park(deadline, false) {
+			// Deadline: release holdbacks and drain what is already
+			// queued, then give up.
 			e.flushHeld()
 			return e.TryRecv()
 		}
@@ -525,8 +523,8 @@ func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
 }
 
 // Pending reports the number of frames queued or held back on this
-// end's receive direction — the fleet's quiesce loop polls it to know
-// when the air has gone truly silent before taking final snapshots.
+// end's receive direction — the fleet harness reads it to know when
+// the air has gone truly silent before taking final snapshots.
 func (e *Endpoint) Pending() int {
 	p := e.recvPipe
 	p.mu.Lock()
