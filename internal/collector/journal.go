@@ -117,49 +117,20 @@ func (j *Journal) appendRecord(b int, tag uint16, payload []uint16) bool {
 }
 
 // appendAdmission runs the two-phase admission protocol into the live
-// bank: intent, record, commit, all sharing one pairing sequence.
-// Only after it returns true may the shard apply the admission and
-// queue the ACK.
+// bank: intent, record, commit, all sharing one pairing sequence and
+// reaching the medium as one admissionWords-word write. Only after it
+// returns true may the shard apply the admission and queue the ACK.
 func (j *Journal) appendAdmission(node uint16, seq uint64, value int64, flags uint16) bool {
-	s := nvm.Enc64(int64(seq))
+	s, v := nvm.Enc64(int64(seq)), nvm.Enc64(value)
 	live := j.bk.Live()
-	pair, ok := j.r.TxnBegin(live, ckTagIntent, []uint16{node, s[0], s[1], s[2], s[3]})
-	if !ok {
-		return false
-	}
-	v := nvm.Enc64(value)
-	if !j.r.Append(live, ckTagRecord, []uint16{v[0], v[1], v[2], v[3], flags}) {
-		return false
-	}
+	pair := j.r.TxnBegin(ckTagIntent, []uint16{node, s[0], s[1], s[2], s[3]})
+	j.r.Append(live, ckTagRecord, []uint16{v[0], v[1], v[2], v[3], flags})
 	return j.r.TxnCommit(live, ckTagCommit, pair)
 }
 
 // liveLen returns the live bank's durable word count (checkpoint-
 // bytes accounting after a compaction).
 func (j *Journal) liveLen() int { return j.r.Len(j.bk.Live()) }
-
-// loadBanks installs raw bank contents (fuzz and corruption
-// harnesses), bypassing the power cell.
-func (j *Journal) loadBanks(a, b []uint16) {
-	j.r.Erase(0)
-	j.r.Erase(1)
-	for _, w := range a {
-		_ = j.r.Medium().Append(0, w)
-	}
-	for _, w := range b {
-		_ = j.r.Medium().Append(1, w)
-	}
-}
-
-// truncateBank chops (region-relative) bank b to n words — the test
-// harness's torn-erase knife.
-func (j *Journal) truncateBank(b, n int) {
-	words := append([]uint16(nil), j.r.Words(b)[:n]...)
-	j.r.Erase(b)
-	for _, w := range words {
-		_ = j.r.Medium().Append(b, w)
-	}
-}
 
 // snapNode is one node's checkpointed metadata (everything a NodeView
 // needs beyond the valueStore itself).

@@ -8,6 +8,43 @@ import (
 	"ulpdp/internal/nvm/nvmtest"
 )
 
+// loadBanks installs raw contents into shard 0's two banks (fuzz and
+// corruption harnesses), bypassing the power cell.
+func (j *Journal) loadBanks(a, b []uint16) {
+	j.r.Erase(0)
+	j.r.Erase(1)
+	_ = j.r.Medium().Append(0, a)
+	_ = j.r.Medium().Append(1, b)
+}
+
+// truncateBank chops shard 0's bank b to n words — the torn-erase
+// knife.
+func (j *Journal) truncateBank(b, n int) {
+	words := append([]uint16(nil), j.r.Words(b)[:n]...)
+	j.r.Erase(b)
+	_ = j.r.Medium().Append(b, words)
+}
+
+// TestAdmissionIsOneWrite pins one medium write per admission: the
+// intent, record and commit reach the medium as a single
+// admissionWords-word Append.
+func TestAdmissionIsOneWrite(t *testing.T) {
+	med := &nvmtest.CountingMedium{Medium: nvm.NewMemMedium(2)}
+	j := newStoreOn(med, nvm.NewPower(), 1).Shard(0)
+	if !j.seed() {
+		t.Fatal("seed failed")
+	}
+	for seq := uint64(0); seq < 3; seq++ {
+		med.Appends = med.Appends[:0]
+		if !j.appendAdmission(7, seq, -int64(seq), 0) {
+			t.Fatal("admission failed with live power")
+		}
+		if len(med.Appends) != 1 || med.Appends[0] != admissionWords {
+			t.Fatalf("admission %d wrote %v, want one %d-word append", seq, med.Appends, admissionWords)
+		}
+	}
+}
+
 // admSpec is one scripted admission for the crash-sweep harness.
 type admSpec struct {
 	node uint16

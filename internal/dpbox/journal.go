@@ -135,15 +135,12 @@ func (j *Journal) appendConfig(initialUnits int64, replenishEvery uint64) bool {
 	return j.r.Append(0, tagConfig, []uint16{a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]})
 }
 
-// appendCharge runs the two-phase protocol: intent then commit. Only
-// after both records are durable may the caller apply the charge and
-// emit the output.
+// appendCharge runs the two-phase protocol: intent then commit, in
+// one NVM write. Only after both records are durable may the caller
+// apply the charge and emit the output.
 func (j *Journal) appendCharge(units int64) bool {
 	p := nvm.Enc64(units)
-	pair, ok := j.r.TxnBegin(0, tagIntent, p[:])
-	if !ok {
-		return false
-	}
+	pair := j.r.TxnBegin(tagIntent, p[:])
 	return j.r.TxnCommit(0, tagCommit, pair)
 }
 
@@ -152,21 +149,16 @@ func (j *Journal) appendReplenish() bool {
 }
 
 // appendChargeRelease runs the two-phase protocol with a release
-// record riding inside the transaction: intent, release, commit. The
-// (reportSeq, value) binding becomes durable if and only if the
-// charge does, so recovery can never learn a released value whose
-// charge was rolled back, nor a charge whose released value is
-// unknown.
+// record riding inside the transaction: intent, release, commit, in
+// one 19-word NVM write. The (reportSeq, value) binding becomes
+// durable if and only if the charge does, so recovery can never learn
+// a released value whose charge was rolled back, nor a charge whose
+// released value is unknown.
 func (j *Journal) appendChargeRelease(units int64, reportSeq uint64, value int64, flags uint16) bool {
 	p := nvm.Enc64(units)
-	pair, ok := j.r.TxnBegin(0, tagIntent, p[:])
-	if !ok {
-		return false
-	}
+	pair := j.r.TxnBegin(tagIntent, p[:])
 	s, v := nvm.Enc64(int64(reportSeq)), nvm.Enc64(value)
-	if !j.r.Append(0, tagRelease, []uint16{s[0], s[1], s[2], s[3], v[0], v[1], v[2], v[3], flags}) {
-		return false
-	}
+	j.r.Append(0, tagRelease, []uint16{s[0], s[1], s[2], s[3], v[0], v[1], v[2], v[3], flags})
 	return j.r.TxnCommit(0, tagCommit, pair)
 }
 

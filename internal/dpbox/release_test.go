@@ -221,6 +221,40 @@ func TestSeqReleasePowerLossSweep(t *testing.T) {
 	})
 }
 
+// TestJournalWriteGranularity pins one medium write per NVM
+// transaction: a charge-release reaches the medium as a single
+// 19-word Append, and Recover's compaction of k releases as 2 + k
+// (config, checkpoint, one per re-journaled release).
+func TestJournalWriteGranularity(t *testing.T) {
+	med := &nvmtest.CountingMedium{Medium: nvm.NewMemMedium(1)}
+	j := newJournalWith(med, nvm.NewPower())
+	cfg := smallCfg(17)
+	cfg.Journal = j
+	b := boot(t, cfg, 1e6)
+	const k = 5
+	for seq := uint64(0); seq < k; seq++ {
+		med.Appends = med.Appends[:0]
+		if _, err := b.NoiseValueSeq(seq, int64(seq)); err != nil {
+			t.Fatal(err)
+		}
+		if len(med.Appends) != 1 || med.Appends[0] != 19 {
+			t.Fatalf("charge-release %d wrote %v, want one 19-word append", seq, med.Appends)
+		}
+	}
+	med.Appends = med.Appends[:0]
+	if _, err := Recover(smallCfg(17), j); err != nil {
+		t.Fatal(err)
+	}
+	if len(med.Appends) != 2+k {
+		t.Fatalf("recovery of %d releases wrote %v, want %d appends", k, med.Appends, 2+k)
+	}
+	for i, want := range []int{10, 6, 19, 19, 19, 19, 19} {
+		if med.Appends[i] != want {
+			t.Fatalf("recovery append %d wrote %d words, want %d", i, med.Appends[i], want)
+		}
+	}
+}
+
 // TestCompactionKeepsRetransmissionWindow drives more releases than
 // the compaction cap and verifies the most recent window survives two
 // crashes.

@@ -8,23 +8,29 @@ import (
 )
 
 // FileMedium persists each bank as one little-endian word file under
-// a directory, with write-through word durability: every Append is
-// issued to the file before it is acknowledged, so a killed process
-// (SIGKILL mid-run) finds every acknowledged word on restart — the
-// kernel completes in-flight page-cache writes even when the process
-// dies. That is the durability the restart-survival contract needs;
-// it is weaker than a powerfail-safe disk (no fsync per word — a
-// whole-machine power cut could drop the page-cache tail, which the
-// torn-tail replay then rolls back, exactly like a simulated cut).
+// a directory, with write-through durability: every Append is one
+// positional write issued to the file before it is acknowledged, so a
+// killed process (SIGKILL mid-run) finds every acknowledged word on
+// restart — the kernel completes in-flight page-cache writes even
+// when the process dies. That is the durability the restart-survival
+// contract needs; it is weaker than a powerfail-safe disk (no fsync
+// per write — a whole-machine power cut could drop the page-cache
+// tail, which the torn-tail replay then rolls back, exactly like a
+// simulated cut).
 //
-// A file with an odd byte length holds a torn word — the process was
-// killed between the two bytes of one word write — and is truncated
-// back to the last whole word at open, the file analogue of a torn
-// NVM word never reaching its cell.
+// A kill can still land inside one write: a run that crosses a page
+// boundary may reach the file only in part. A file with an odd byte
+// length holds a torn word and is truncated back to the last whole
+// word at open, the file analogue of a torn NVM word never reaching
+// its cell; a torn record above it is the record layer's torn tail.
 type FileMedium struct {
 	dir    string
 	files  []*os.File
 	mirror [][]uint16 // in-RAM copy of each bank for zero-copy reads
+	// enc is each bank's reusable encode buffer. It is per bank, not
+	// per medium: collector shards append to distinct banks of one
+	// medium concurrently.
+	enc [][]byte
 }
 
 // bankPath names bank b's backing file.
@@ -42,6 +48,7 @@ func OpenFileMedium(dir string, banks int) (*FileMedium, error) {
 		dir:    dir,
 		files:  make([]*os.File, banks),
 		mirror: make([][]uint16, banks),
+		enc:    make([][]byte, banks),
 	}
 	for b := 0; b < banks; b++ {
 		f, err := os.OpenFile(bankPath(dir, b), os.O_RDWR|os.O_CREATE, 0o644)
@@ -91,14 +98,19 @@ func CountFileBanks(dir string) int {
 // Banks returns the bank count.
 func (m *FileMedium) Banks() int { return len(m.mirror) }
 
-// Append writes one word through to bank b's file, then mirrors it.
-func (m *FileMedium) Append(b int, w uint16) error {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], w)
-	if _, err := m.files[b].WriteAt(buf[:], int64(2*len(m.mirror[b]))); err != nil {
+// Append writes the words ws through to bank b's file in one
+// positional write, then mirrors the whole words that reached it.
+func (m *FileMedium) Append(b int, ws []uint16) error {
+	buf := m.enc[b][:0]
+	for _, w := range ws {
+		buf = binary.LittleEndian.AppendUint16(buf, w)
+	}
+	m.enc[b] = buf
+	n, err := m.files[b].WriteAt(buf, int64(2*len(m.mirror[b])))
+	m.mirror[b] = append(m.mirror[b], ws[:n/2]...)
+	if err != nil {
 		return fmt.Errorf("nvm: write bank %d: %w", b, err)
 	}
-	m.mirror[b] = append(m.mirror[b], w)
 	return nil
 }
 

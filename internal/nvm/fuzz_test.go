@@ -27,7 +27,7 @@ func FuzzNVMRecordCodec(f *testing.F) {
 	// Corpus: a clean log, a torn one, a flipped one, junk.
 	r := NewRegion(NewMemMedium(1), NewPower(), lay)
 	p := Enc64(-99)
-	pair, _ := r.TxnBegin(0, 1, p[:])
+	pair := r.TxnBegin(1, p[:])
 	r.Append(0, 3, []uint16{0xAB, 0xCD})
 	r.TxnCommit(0, 2, pair)
 	clean := make([]byte, 2*len(r.Words(0)))
@@ -104,8 +104,8 @@ func FuzzNVMRecordCodec(f *testing.F) {
 		// Still usable: appending a fresh record after the valid prefix
 		// scans back intact.
 		probe := NewRegion(NewMemMedium(1), NewPower(), lay)
-		for i := 0; i < parsed; i++ {
-			probe.Put(0, words[i])
+		if err := probe.Medium().Append(0, words[:parsed]); err != nil {
+			t.Fatal(err)
 		}
 		probe.SetSeq(0x7FF)
 		if !probe.Append(0, 3, []uint16{0x55, 0xAA}) {

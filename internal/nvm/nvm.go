@@ -16,7 +16,7 @@
 //
 //   - Medium: raw word banks (append/read/erase). MemMedium is the
 //     simulated in-RAM array every test sweeps; FileMedium persists
-//     each bank to a file with write-through word durability so a
+//     each bank to a file with write-through durability so a
 //     killed-and-restarted process recovers real state.
 //   - Power: the shared supply cell. One cell powers every bank of a
 //     region (a crash is one event); writes fail closed once the cell
@@ -24,7 +24,10 @@
 //     sweeps.
 //   - Region: the record codec (hdr tag<<12|seq, tag-dependent
 //     payload, XOR checksum with a per-client salt) plus the
-//     two-phase transaction helpers and the replay Scanner.
+//     two-phase transaction helpers and the replay Scanner. A region
+//     stages each record (or whole transaction) and hands it to the
+//     medium as one word run, granting power permits word by word so
+//     a failure still lands between two words.
 //   - Banked: double-banked generation-tagged snapshot/compaction
 //     arithmetic for clients that checkpoint by rewriting (the
 //     collector).
@@ -46,18 +49,20 @@ const (
 	SaltCheckpoint uint16 = 0xC011
 )
 
-// Medium is a bank-addressed word array: the raw NVM. Appends are
-// word-scalar — the engine feeds records through one word at a time
-// so the medium never sees (or allocates for) a record boundary.
-// Implementations are not goroutine-safe; callers serialize access
-// per bank (shard locks, the ledger mutex, single-threaded recovery).
+// Medium is a bank-addressed word array: the raw NVM. The engine
+// hands it one word run per record or transaction, already cut to the
+// prefix the power cell allowed, so a medium never decides where a
+// write tears. Callers serialize access per bank (shard locks, the
+// ledger mutex, single-threaded recovery); distinct banks may be
+// appended to concurrently.
 type Medium interface {
 	// Banks returns the number of banks.
 	Banks() int
-	// Append makes one word durable at the end of bank b. An error
-	// means the medium failed mid-write; the engine treats it as a
-	// power event and kills the supply cell.
-	Append(b int, w uint16) error
+	// Append makes the words ws durable, in order, at the end of bank
+	// b. An error means the medium failed mid-write, leaving some
+	// prefix of ws durable; the engine treats it as a power event and
+	// kills the supply cell.
+	Append(b int, ws []uint16) error
 	// Len returns bank b's durable word count.
 	Len(b int) int
 	// Words returns bank b's durable words. The slice aliases the
@@ -87,9 +92,9 @@ func NewMemMedium(banks int) *MemMedium {
 // Banks returns the bank count.
 func (m *MemMedium) Banks() int { return len(m.banks) }
 
-// Append appends one word to bank b.
-func (m *MemMedium) Append(b int, w uint16) error {
-	m.banks[b] = append(m.banks[b], w)
+// Append appends the words ws to bank b.
+func (m *MemMedium) Append(b int, ws []uint16) error {
+	m.banks[b] = append(m.banks[b], ws...)
 	return nil
 }
 
@@ -103,12 +108,6 @@ func (m *MemMedium) Words(b int) []uint16 { return m.banks[b] }
 func (m *MemMedium) Erase(b int) error {
 	m.banks[b] = m.banks[b][:0]
 	return nil
-}
-
-// Load replaces bank b's contents wholesale (fuzz and test harnesses
-// installing arbitrary word streams; not part of the Medium model).
-func (m *MemMedium) Load(b int, words []uint16) {
-	m.banks[b] = append(m.banks[b][:0], words...)
 }
 
 // Close is a no-op.

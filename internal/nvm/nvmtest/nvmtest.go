@@ -34,6 +34,20 @@ func CrashSweep(t testing.TB, run func(t testing.TB, pw *nvm.Power, cut int)) {
 	}
 }
 
+// CountingMedium wraps a Medium and records the word count of every
+// Append: the write-granularity probe for how many medium writes (on
+// a file, syscalls) one journal operation costs.
+type CountingMedium struct {
+	nvm.Medium
+	Appends []int
+}
+
+// Append records len(ws), then appends through to the wrapped medium.
+func (m *CountingMedium) Append(b int, ws []uint16) error {
+	m.Appends = append(m.Appends, len(ws))
+	return m.Medium.Append(b, ws)
+}
+
 // WordsToBytes flattens a word stream little-endian for fuzz corpora.
 func WordsToBytes(words []uint16) []byte {
 	out := make([]byte, 2*len(words))

@@ -46,6 +46,11 @@ func Dec64(w []uint16) int64 {
 // happens under the owning client's lock (or single-threaded
 // recovery); only the power cell and the compaction counter are
 // shared-safe.
+//
+// Records are encoded into a region-owned stage and reach the medium
+// as one Medium.Append: a lone record at Append, a whole transaction
+// (intent, inner records, commit) at TxnCommit. Staged words are not
+// durable and Len/Words do not show them.
 type Region struct {
 	med  Medium
 	pw   *Power
@@ -54,9 +59,13 @@ type Region struct {
 	n    int // bank count
 	seq  uint16
 
+	stage     []uint16 // encoded words not yet handed to the medium
+	txn       bool     // a transaction is open: Append only stages
+	intentEnd int      // stage length after the open transaction's intent
+
 	compactions atomic.Uint64
 
-	// Optional journal telemetry: bumped on durable TxnBegin/TxnCommit
+	// Optional journal telemetry: bumped by TxnCommit's write
 	// so every two-phase client reports intents/commits from one place
 	// instead of hand-counting at call sites. Nil-safe (zero cost when
 	// unbound).
@@ -100,65 +109,110 @@ func (r *Region) Words(b int) []uint16 { return r.med.Words(r.base + b) }
 // Erase clears bank b.
 func (r *Region) Erase(b int) { _ = r.med.Erase(r.base + b) }
 
-// Put writes one raw word to bank b through the power cell. It
-// reports whether the word became durable; a medium failure kills the
-// cell (fail closed).
-func (r *Region) Put(b int, w uint16) bool {
-	if !r.pw.Allow() {
-		return false
-	}
-	if r.med.Append(r.base+b, w) != nil {
-		r.pw.Kill()
-		return false
-	}
-	return true
-}
-
-// Append writes one record — header, payload, checksum — word by
-// word into bank b. False means power failed partway: the tail is
-// torn and the region dead.
-func (r *Region) Append(b int, tag uint16, payload []uint16) bool {
+// stageRecord encodes one record — header, payload, checksum — onto
+// the stage and advances the record sequence.
+func (r *Region) stageRecord(tag uint16, payload []uint16) {
 	hdr := tag<<12 | (r.seq & 0x0FFF)
 	r.seq++
-	if !r.Put(b, hdr) {
-		return false
+	r.stage = append(r.stage, hdr)
+	r.stage = append(r.stage, payload...)
+	r.stage = append(r.stage, Checksum(r.lay.Salt, hdr, payload))
+}
+
+// flush hands the stage to bank b as one medium write and empties it,
+// returning how many staged words became durable. Power permits are
+// granted word by word, in order, and only the granted prefix is
+// written, so a scheduled failure tears the run exactly where it
+// would have torn a word-by-word write. A medium failure kills the
+// cell (fail closed).
+func (r *Region) flush(b int) int {
+	ws := r.stage
+	r.stage = ws[:0]
+	n := 0
+	for n < len(ws) && r.pw.Allow() {
+		n++
 	}
-	for _, w := range payload {
-		if !r.Put(b, w) {
-			return false
-		}
+	if n == 0 {
+		return 0
 	}
-	return r.Put(b, Checksum(r.lay.Salt, hdr, payload))
+	before := r.med.Len(r.base + b)
+	if r.med.Append(r.base+b, ws[:n]) != nil {
+		r.pw.Kill()
+		return r.med.Len(r.base+b) - before
+	}
+	return n
+}
+
+// Append writes one record — header, payload, checksum — into bank b
+// as one medium write. False means power failed partway: the tail is
+// torn and the region dead. Inside a transaction the record is only
+// staged (true) and becomes durable with TxnCommit.
+func (r *Region) Append(b int, tag uint16, payload []uint16) bool {
+	r.stageRecord(tag, payload)
+	if r.txn {
+		return true
+	}
+	want := len(r.stage)
+	return r.flush(b) == want
 }
 
 // TxnBegin opens a two-phase transaction: it notes the pairing
-// sequence, writes the intent record, and returns the pairing value
+// sequence, stages the intent record, and returns the pairing value
 // for TxnCommit. Records appended between begin and commit ride
 // inside the transaction — replay applies them only if the matching
-// commit is durable.
-func (r *Region) TxnBegin(b int, tag uint16, payload []uint16) (pair uint16, ok bool) {
+// commit is durable. Nothing reaches the medium before TxnCommit
+// names the bank.
+func (r *Region) TxnBegin(tag uint16, payload []uint16) (pair uint16) {
 	pair = r.seq
-	if !r.Append(b, tag, payload) {
-		return pair, false
-	}
-	if r.intents != nil {
-		r.intents.Inc()
-	}
-	return pair, true
+	r.txn = true
+	r.stageRecord(tag, payload)
+	r.intentEnd = len(r.stage)
+	return pair
 }
 
 // TxnCommit seals a transaction: the commit record reuses the
-// intent's sequence number so replay can pair them. Only after it
-// returns true is the transaction durable.
+// intent's sequence number so replay can pair them, and the whole
+// transaction goes to the medium as one write. Only after it returns
+// true is the transaction durable. The intent counter bumps if the
+// whole intent record landed, the commit counter only if the commit
+// did.
 func (r *Region) TxnCommit(b int, tag uint16, pair uint16) bool {
+	r.txn = false
 	r.seq = pair
-	if !r.Append(b, tag, nil) {
+	r.stageRecord(tag, nil)
+	ws := r.stage
+	n := r.flush(b)
+	if n >= r.intentEnd && r.intents != nil {
+		r.intents.Inc()
+	}
+	if n < len(ws) {
+		r.seq = r.tornSeq(pair, ws, n)
 		return false
 	}
 	if r.commits != nil {
 		r.commits.Inc()
 	}
 	return true
+}
+
+// tornSeq is the record sequence after transaction ws tore with its
+// first n words durable: the record that tore consumed its sequence
+// number and nothing after it was attempted, exactly as if each
+// record had been written on its own. A torn commit leaves pair+1,
+// as a durable one does.
+func (r *Region) tornSeq(pair uint16, ws []uint16, n int) uint16 {
+	k, i := uint16(0), 0
+	for {
+		end := i + 2 + r.lay.PayloadLen(ws[i]>>12)
+		if end == len(ws) {
+			return pair + 1
+		}
+		if end > n {
+			return pair + k + 1
+		}
+		i = end
+		k++
+	}
 }
 
 // BindCounters attaches (or detaches, with nils) the journal
