@@ -317,13 +317,16 @@ func BenchmarkDPBoxObsEnabled(b *testing.B) { benchDPBoxObs(b, true) }
 // benchReportSpan is the flight-recorder overhead guard: one full
 // report span (noised → journal → tx → link-rx → admit → ack) per
 // iteration, stamped against a nil recorder (the production default)
-// or a live ring. The disabled path's contract is zero allocations;
-// the enabled path must also stay allocation-free — the ring is
-// fixed-capacity and pooled by construction.
+// or a live ring with its registry metrics bound, so the ACK's
+// latency observation is on the measured path. The disabled path's
+// contract is zero allocations; the enabled path must also stay
+// allocation-free — the ring is fixed-capacity and pooled by
+// construction.
 func benchReportSpan(b *testing.B, enabled bool) {
 	var fr *obs.FlightRecorder
 	if enabled {
 		fr = obs.NewFlightRecorder(1024)
+		fr.SetMetrics(obs.NewFlightMetrics(obs.NewRegistry()))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -342,7 +345,8 @@ func benchReportSpan(b *testing.B, enabled bool) {
 // pins it at 0 allocs/op.
 func BenchmarkReportSpanDisabled(b *testing.B) { benchReportSpan(b, false) }
 
-// BenchmarkReportSpanEnabled stamps against a live 1024-slot ring.
+// BenchmarkReportSpanEnabled stamps against a live 1024-slot ring; CI
+// pins it at 0 allocs/op too.
 func BenchmarkReportSpanEnabled(b *testing.B) { benchReportSpan(b, true) }
 
 // BenchmarkMSP430SoftNoise measures the emulated software noising

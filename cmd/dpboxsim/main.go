@@ -28,7 +28,8 @@
 // trace ring) and prints its final JSON snapshot when the session
 // ends. -debug additionally serves the plane on /debug/vars (expvar),
 // Prometheus text exposition on /metrics, and /debug/pprof at ADDR
-// for the session's lifetime.
+// for the session's lifetime; an address it cannot listen on exits 2
+// before the session starts.
 //
 // The exit status reports the box's final state: 0 when the session
 // ends with a live, healthy box; 1 when it ends with the box dead
@@ -42,8 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -84,19 +83,12 @@ func run() int {
 		cfg.Obs = ulpdp.NewDPBoxMetrics(reg, 1)
 	}
 	if *debugAddr != "" {
-		reg.PublishExpvar("ulpdp")
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", obs.PrometheusContentType)
-			if err := obs.WritePrometheus(w, reg.Snapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "dpboxsim: /metrics:", err)
-			}
-		})
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "dpboxsim: debug server:", err)
-			}
-		}()
-		fmt.Printf("dpboxsim: serving /debug/vars, /metrics, and /debug/pprof on %s\n", *debugAddr)
+		addr, err := obs.ServeDebug(*debugAddr, reg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dpboxsim:", err)
+			return 2
+		}
+		fmt.Printf("dpboxsim: serving /debug/vars, /metrics, and /debug/pprof on %s\n", addr)
 	}
 	if *stuck >= 0 {
 		fp := fault.NewPlane()

@@ -35,17 +35,20 @@
 // -quick -nodes 10000` is the scale smoke: the quick chaos profile
 // over ten thousand nodes.
 //
-// -metrics attaches the telemetry plane to the chaos run — the
-// privacy odometer is then asserted live against the certified n·ε
-// envelope — and prints the final JSON snapshot to stdout. -debug
-// additionally serves the registry on /debug/vars, a Prometheus
-// text-exposition endpoint on /metrics, and net/http/pprof at ADDR,
-// and keeps the process alive after the run for inspection.
+// -metrics attaches the telemetry plane and the per-report flight
+// recorder to the chaos run — the privacy odometer is then asserted
+// live against the certified n·ε envelope, and the recorder feeds the
+// node.report_latency_us histogram — and prints the final JSON
+// snapshot to stdout. -debug additionally serves the registry on
+// /debug/vars, a Prometheus text-exposition endpoint on /metrics, and
+// net/http/pprof at ADDR, and keeps the process alive after the run
+// for inspection; an address it cannot listen on exits 2 before the
+// run.
 //
-// -tracefile PATH (implies -metrics) attaches the per-report flight
-// recorder and the privacy burn-rate alerter, writes the chaos run's
-// spans as Chrome/Perfetto trace-event JSON to PATH (load it at
-// ui.perfetto.dev or chrome://tracing), self-checks the export —
+// -tracefile PATH (implies -metrics) also attaches the privacy
+// burn-rate alerter, writes the chaos run's spans as Chrome/Perfetto
+// trace-event JSON to PATH (load it at ui.perfetto.dev or
+// chrome://tracing), self-checks the export —
 // every ACKed report must carry a complete, causally ordered span
 // chain and the JSON must be shape-valid — and prints a per-stage
 // latency attribution table (p50/p95/p99, stratified by retransmit
@@ -56,8 +59,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -86,9 +87,9 @@ func run() int {
 	nvmdir := flag.String("nvmdir", "", "back the chaos run's durable state with file-based NVM under this directory; rerunning resumes a killed run")
 	collectorCrash := flag.String("collectorcrash", "", "comma-separated checkpoint word-write counts at which the collector crashes and recovers (implies -durable)")
 	workers := flag.Int("workers", 0, "node worker-pool size (0 = 8x GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "collector ingest shards (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "collector ingest shards (0 = the collector default, 8)")
 	deadline := flag.Duration("deadline", 0, "wall-clock ceiling for each fleet run (0 = library default)")
-	metrics := flag.Bool("metrics", false, "attach the telemetry plane to the chaos run and print its JSON snapshot")
+	metrics := flag.Bool("metrics", false, "attach the telemetry plane and flight recorder to the chaos run and print its JSON snapshot")
 	traceFile := flag.String("tracefile", "", "write the chaos run's flight-recorder spans as Perfetto trace-event JSON to this path; implies -metrics")
 	debugAddr := flag.String("debug", "", "serve /debug/vars (expvar), /metrics (Prometheus), and /debug/pprof at this address; implies -metrics and blocks after the run")
 	verbose := flag.Bool("v", false, "print per-node detail")
@@ -148,16 +149,15 @@ func run() int {
 		},
 	}
 
-	var reg *obs.Registry
 	if *metrics || *debugAddr != "" || *traceFile != "" {
-		reg = obs.NewRegistry()
-		cfg.Obs = reg
+		cfg.Obs = obs.NewRegistry()
+		// The recorder is the one source of report latency
+		// (node.report_latency_us). Size the ring so a full run can
+		// never drop a span: one slot per (node, seq), doubled for
+		// headroom (NewFlightRecorder rounds up to a power of two).
+		cfg.Flight = obs.NewFlightRecorder(cfg.Nodes * cfg.Reports * 2)
 	}
 	if *traceFile != "" {
-		// Size the ring so a full run can never drop a span: one slot
-		// per (node, seq), doubled for headroom (NewFlightRecorder
-		// rounds up to a power of two anyway).
-		cfg.Flight = obs.NewFlightRecorder(cfg.Nodes * cfg.Reports * 2)
 		// The alerter's plan is the certified per-report cap itself, so
 		// a healthy fleet burns at exactly 1x and only a privacy
 		// overspend — noising charged above its certification — trips.
@@ -172,19 +172,12 @@ func run() int {
 		cfg.Burn = burn
 	}
 	if *debugAddr != "" {
-		reg.PublishExpvar("ulpdp")
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", obs.PrometheusContentType)
-			if err := obs.WritePrometheus(w, reg.Snapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "fleetsim: /metrics:", err)
-			}
-		})
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "fleetsim: debug server:", err)
-			}
-		}()
-		fmt.Printf("fleetsim: serving /debug/vars, /metrics, and /debug/pprof on %s\n", *debugAddr)
+		addr, derr := obs.ServeDebug(*debugAddr, cfg.Obs)
+		if derr != nil {
+			fmt.Fprintln(os.Stderr, "fleetsim:", derr)
+			return 2
+		}
+		fmt.Printf("fleetsim: serving /debug/vars, /metrics, and /debug/pprof on %s\n", addr)
 	}
 
 	fmt.Printf("fleetsim: %d nodes x %d reports, seed %d, link{drop %.2f dup %.2f reorder %.2f corrupt %.2f delay<=%d}, crash-every %d, durable %v, collector-crashes %v\n",

@@ -79,6 +79,10 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", uint8(s))
 }
 
+// openTicks is how many idle ticks an open breaker waits before
+// half-opening to probe.
+const openTicks = 4
+
 // Config parameterizes a Collector. The zero value gets
 // simulation-friendly defaults.
 type Config struct {
@@ -95,9 +99,6 @@ type Config struct {
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// node's breaker (default 8).
 	BreakerThreshold int
-	// OpenTicks is how many idle ticks an open breaker waits before
-	// half-opening to probe (default 4).
-	OpenTicks int
 	// CompactEvery is how many journaled admissions a shard absorbs
 	// before compacting its checkpoint into a fresh snapshot (default
 	// 4096; only meaningful with a durable Store attached via
@@ -374,9 +375,6 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 8
-	}
-	if cfg.OpenTicks <= 0 {
-		cfg.OpenTicks = 4
 	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 4096
@@ -668,7 +666,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 		if unhealthy {
 			// Probe failed: back to open for another cooldown.
 			ns.breaker = BreakerOpen
-			ns.openLeft = sh.c.cfg.OpenTicks
+			ns.openLeft = openTicks
 			sh.stats.BreakerDrops++
 			if m != nil {
 				m.BreakerDrops.Inc()
@@ -684,7 +682,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 			ns.consecFail++
 			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
 				ns.breaker = BreakerOpen
-				ns.openLeft = sh.c.cfg.OpenTicks
+				ns.openLeft = openTicks
 				sh.stats.BreakerDrops++
 				if m != nil {
 					m.BreakerDrops.Inc()
@@ -813,7 +811,7 @@ func (sh *shard) idleTick() {
 			ns.consecFail++
 			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
 				ns.breaker = BreakerOpen
-				ns.openLeft = sh.c.cfg.OpenTicks
+				ns.openLeft = openTicks
 				m.transition(int64(id), BreakerClosed, BreakerOpen)
 			}
 		case BreakerOpen:

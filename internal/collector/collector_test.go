@@ -194,7 +194,7 @@ func TestDuplicateReorderScheduleProperty(t *testing.T) {
 }
 
 func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
-	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2})
+	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 3})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	end := link.NodeEnd()

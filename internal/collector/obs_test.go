@@ -15,7 +15,7 @@ import (
 func TestBreakerTransitionMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2, Obs: m})
+	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 3, Obs: m})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	end := link.NodeEnd()

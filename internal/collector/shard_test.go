@@ -44,17 +44,13 @@ type shardRunResult struct {
 // tickAll, never the wall clock, so the run is schedule-independent.
 func runScripted(t *testing.T, shards, nodes int) shardRunResult {
 	t.Helper()
-	const (
-		threshold = 3
-		openTicks = 2
-	)
+	const threshold = 3
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	col := New(Config{
 		Shards:           shards,
 		PollTimeout:      time.Hour, // idle ticks only via tickAll
 		BreakerThreshold: threshold,
-		OpenTicks:        openTicks,
 		Obs:              m,
 	})
 	defer col.Close()

@@ -112,7 +112,9 @@ type Config struct {
 	// flight recorder to every layer: each report's causal span —
 	// noised → journal commit → tx attempts → link rx → shard admit →
 	// checkpoint commit → ack — is stamped as it happens, keyed by
-	// (node, seq). Purely observational: results stay bit-exact.
+	// (node, seq). Each span's noised → ACK latency fills the
+	// node.report_latency_us histogram, which stays empty without a
+	// recorder. Purely observational: results stay bit-exact.
 	Flight *obs.FlightRecorder
 	// Burn, when non-nil (requires Obs), attaches the privacy
 	// burn-rate alerter to the odometer's charge stream; its latched

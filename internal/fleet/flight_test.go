@@ -162,7 +162,9 @@ func TestFleetBurnAlertQuietOnPlan(t *testing.T) {
 
 // TestFleetPerfettoGolden pins the exported trace shape: valid JSON,
 // monotone timestamps per track, and a complete span chain for every
-// ACKed report, across node and collector crashes.
+// ACKed report, across node and collector crashes — and that the
+// node.report_latency_us histogram is the same spans' noised → ACK
+// latency, including reports that Resume completed.
 func TestFleetPerfettoGolden(t *testing.T) {
 	cfg := chaosFlightConfig(gridSeed(t))
 	cfg.Obs = obs.NewRegistry()
@@ -205,5 +207,21 @@ func TestFleetPerfettoGolden(t *testing.T) {
 	}
 	if want := uint64(cfg.Nodes * cfg.Reports); total != want {
 		t.Fatalf("attribution covers %d spans, want %d", total, want)
+	}
+
+	var acked uint64
+	var sumUs int64
+	for _, v := range res.Flight.Spans {
+		if v.Acked() {
+			acked++
+			sumUs += (v.StampNs[obs.StageAck] - v.StampNs[obs.StageNoised]) / 1_000
+		}
+	}
+	lat := res.Obs.Histograms["node.report_latency_us"]
+	if lat.Count != acked || lat.Count != total {
+		t.Fatalf("report_latency_us count %d, want %d acked spans = %d attributed", lat.Count, acked, total)
+	}
+	if lat.Sum != sumUs {
+		t.Fatalf("report_latency_us sum %d µs, want the spans' %d µs", lat.Sum, sumUs)
 	}
 }

@@ -159,9 +159,7 @@ func (a *ReportAgent) backoff(k int) time.Duration {
 // retransmits the identical value later.
 func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error) {
 	seq := a.next
-	var noisedAt time.Time
 	if m := a.cfg.Obs; m != nil {
-		noisedAt = time.Now()
 		// The span opens before the noising transaction so the journal
 		// commit inside it lands after the noised stamp.
 		m.Flight.Record(int64(a.cfg.ID), seq, obs.StageNoised)
@@ -173,7 +171,6 @@ func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error
 	a.next = seq + 1
 	if m := a.cfg.Obs; m != nil {
 		m.Reports.Inc()
-		m.Trace.Emit(EvNoised, a.box.Cycles(), int64(a.cfg.ID), int64(seq), res.Value)
 		if res.Degraded {
 			m.Flight.Record(int64(a.cfg.ID), seq, obs.StageDegraded)
 		}
@@ -192,12 +189,6 @@ func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error
 	// it re-deliverable through Resume once the collector is back.
 	attempts, err := a.deliver(ctx, a.packet(seq, res.Value, res.Degraded, res.FromCache), a.cfg.MaxTotalAttempts)
 	out.Attempts = attempts
-	if m := a.cfg.Obs; m != nil && err == nil {
-		// The (node, seq) span closes: noise drawn → ACK recorded.
-		lat := time.Since(noisedAt).Microseconds()
-		m.LatencyUs.Observe(lat)
-		m.Trace.Emit(EvAcked, a.box.Cycles(), int64(a.cfg.ID), int64(seq), lat)
-	}
 	return out, err
 }
 
@@ -255,7 +246,6 @@ func (a *ReportAgent) deliver(ctx context.Context, pkt transport.Packet, budget 
 		}
 		if err != nil {
 			m.Abandoned.Inc()
-			m.Trace.Emit(EvAbandoned, a.box.Cycles(), int64(a.cfg.ID), int64(pkt.Seq), int64(attempts))
 			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAbandoned)
 		} else {
 			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAck)

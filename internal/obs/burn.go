@@ -28,13 +28,16 @@ type BurnConfig struct {
 	// HorizonCharges is the number of charges the envelope is planned
 	// to last. Must be positive.
 	HorizonCharges uint64
-	// FastWindow and SlowWindow are window lengths in charges
-	// (defaults 8 and 64; fast must be shorter than slow).
-	FastWindow, SlowWindow int
-	// FastBurn and SlowBurn are the trip thresholds as multiples of
-	// the planned rate (defaults 4 and 2).
-	FastBurn, SlowBurn float64
 }
+
+// The alerter's windows, in charges, and their trip thresholds, as
+// multiples of the planned rate.
+const (
+	burnFastWindow = 8
+	burnSlowWindow = 64
+	burnFastBurn   = 4
+	burnSlowBurn   = 2
+)
 
 // BurnAlerter watches the odometer's charge stream and trips when the
 // spend derivative exceeds the plan in both windows. It attaches to an
@@ -46,7 +49,7 @@ type BurnAlerter struct {
 	cfg BurnConfig
 
 	mu        sync.Mutex
-	ring      []int64 // last SlowWindow charges, µnats
+	ring      []int64 // last burnSlowWindow charges, µnats
 	n         uint64  // charges observed
 	fastSum   int64
 	slowSum   int64
@@ -59,8 +62,7 @@ type BurnAlerter struct {
 	trace   *Trace
 }
 
-// NewBurnAlerter validates the config (applying defaults) and builds
-// an alerter.
+// NewBurnAlerter validates the config and builds an alerter.
 func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
 	if cfg.EnvelopeMicroNats <= 0 {
 		return nil, fmt.Errorf("obs: burn alerter needs a positive envelope, got %d µnat", cfg.EnvelopeMicroNats)
@@ -68,25 +70,7 @@ func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
 	if cfg.HorizonCharges == 0 {
 		return nil, fmt.Errorf("obs: burn alerter needs a positive charge horizon")
 	}
-	if cfg.FastWindow == 0 {
-		cfg.FastWindow = 8
-	}
-	if cfg.SlowWindow == 0 {
-		cfg.SlowWindow = 64
-	}
-	if cfg.FastBurn == 0 {
-		cfg.FastBurn = 4
-	}
-	if cfg.SlowBurn == 0 {
-		cfg.SlowBurn = 2
-	}
-	if cfg.FastWindow < 1 || cfg.FastWindow >= cfg.SlowWindow {
-		return nil, fmt.Errorf("obs: burn windows must satisfy 1 <= fast (%d) < slow (%d)", cfg.FastWindow, cfg.SlowWindow)
-	}
-	if cfg.FastBurn <= 0 || cfg.SlowBurn <= 0 {
-		return nil, fmt.Errorf("obs: burn thresholds must be positive")
-	}
-	return &BurnAlerter{cfg: cfg, ring: make([]int64, cfg.SlowWindow)}, nil
+	return &BurnAlerter{cfg: cfg, ring: make([]int64, burnSlowWindow)}, nil
 }
 
 // Bind attaches registry instruments and the trace ring that alert
@@ -101,7 +85,7 @@ func (b *BurnAlerter) Bind(m *BurnMetrics, t *Trace) {
 	b.mu.Unlock()
 }
 
-// Config returns the validated configuration (defaults applied).
+// Config returns the alerter's configuration.
 func (b *BurnAlerter) Config() BurnConfig { return b.cfg }
 
 // observe folds one charge into the windows; called by the Odometer
@@ -114,8 +98,8 @@ func (b *BurnAlerter) observe(ch int, micro, total int64) {
 	if b.n >= uint64(len(b.ring)) {
 		b.slowSum -= b.ring[i]
 	}
-	if b.n >= uint64(b.cfg.FastWindow) {
-		j := int((b.n - uint64(b.cfg.FastWindow)) % uint64(len(b.ring)))
+	if b.n >= burnFastWindow {
+		j := int((b.n - burnFastWindow) % uint64(len(b.ring)))
 		b.fastSum -= b.ring[j]
 	}
 	b.ring[i] = micro
@@ -126,8 +110,8 @@ func (b *BurnAlerter) observe(ch int, micro, total int64) {
 	// Planned per-charge spend; both windows compare against it.
 	plan := float64(b.cfg.EnvelopeMicroNats) / float64(b.cfg.HorizonCharges)
 	fastN := b.n
-	if fastN > uint64(b.cfg.FastWindow) {
-		fastN = uint64(b.cfg.FastWindow)
+	if fastN > burnFastWindow {
+		fastN = burnFastWindow
 	}
 	slowN := b.n
 	if slowN > uint64(len(b.ring)) {
@@ -143,8 +127,8 @@ func (b *BurnAlerter) observe(ch int, micro, total int64) {
 
 	// Both windows must be hot; the fast window must be full so a
 	// single early charge cannot trip the alert on a cold start.
-	active := b.n >= uint64(b.cfg.FastWindow) &&
-		fastBurn >= b.cfg.FastBurn && slowBurn >= b.cfg.SlowBurn
+	active := b.n >= burnFastWindow &&
+		fastBurn >= burnFastBurn && slowBurn >= burnSlowBurn
 	if active && !b.active {
 		b.alerts++
 		if !b.tripped {
@@ -213,8 +197,8 @@ func (b *BurnAlerter) Snapshot() *BurnSnapshot {
 	if b.n > 0 {
 		plan := float64(b.cfg.EnvelopeMicroNats) / float64(b.cfg.HorizonCharges)
 		fastN := b.n
-		if fastN > uint64(b.cfg.FastWindow) {
-			fastN = uint64(b.cfg.FastWindow)
+		if fastN > burnFastWindow {
+			fastN = burnFastWindow
 		}
 		slowN := b.n
 		if slowN > uint64(len(b.ring)) {

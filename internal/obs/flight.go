@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -126,7 +127,8 @@ func NewFlightRecorder(n int) *FlightRecorder {
 }
 
 // SetMetrics mirrors the recorder's internal tallies onto registry
-// instruments (span opens/completions/drops and stage events).
+// instruments (span opens/completions/drops, stage events, and the
+// noised → ACK latency of each completed span).
 func (fr *FlightRecorder) SetMetrics(m *FlightMetrics) {
 	if fr == nil {
 		return
@@ -169,7 +171,9 @@ func hashSpanKey(k uint64) uint64 {
 // first sight. The first occurrence of a stage fixes its timestamp;
 // repeats only bump the stage's hit count (so retransmissions and
 // duplicate landings are counted without disturbing latency
-// attribution). Nil receivers and out-of-range stages are no-ops.
+// attribution). A span's first ACK observes its noised → ACK latency
+// when the span has a noised stamp. Nil receivers and out-of-range
+// stages are no-ops.
 func (fr *FlightRecorder) Record(node int64, seq uint64, st Stage) {
 	if fr == nil || st >= NumStages {
 		return
@@ -206,6 +210,9 @@ func (fr *FlightRecorder) Record(node int64, seq uint64, st Stage) {
 			if st == StageAck && first {
 				m.SpansCompleted.Inc()
 				m.SpansOpen.Add(-1)
+				if noised := s.stamp[StageNoised].Load(); noised != 0 {
+					m.LatencyUs.Observe((s.stamp[StageAck].Load() - noised) / 1_000)
+				}
 			}
 		}
 		return
@@ -295,6 +302,11 @@ type FlightMetrics struct {
 	SpansCompleted *Counter // spans that reached ACK
 	SpansDropped   *Counter // Record calls that found no slot
 	StageEvents    *Counter // total stage records
+	// LatencyUs is each completed span's noised → ACK latency in µs,
+	// truncated — the same value as obs.Attribute's
+	// "noised→ack (total)" row. Its name predates the recorder and is
+	// kept for scrapers.
+	LatencyUs *Histogram
 }
 
 // NewFlightMetrics registers (or re-binds) the flight-recorder metric
@@ -305,6 +317,7 @@ func NewFlightMetrics(r *Registry) *FlightMetrics {
 		SpansCompleted: r.Counter("flight.spans_completed"),
 		SpansDropped:   r.Counter("flight.spans_dropped"),
 		StageEvents:    r.Counter("flight.stage_events"),
+		LatencyUs:      r.Histogram("node.report_latency_us", []int64{50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000}),
 	}
 }
 
@@ -332,7 +345,7 @@ func ValidateFlight(s *FlightSnapshot, journaled, durable bool) []string {
 		for _, st := range required {
 			if v.StampNs[st] == 0 {
 				violations = append(violations,
-					"flight: node "+itoa(int64(v.Node))+" seq "+itoa(int64(v.Seq))+" acked without "+st.String())
+					"flight: node "+strconv.Itoa(int(v.Node))+" seq "+strconv.FormatUint(v.Seq, 10)+" acked without "+st.String())
 			}
 		}
 		last := int64(0)
@@ -343,34 +356,10 @@ func ValidateFlight(s *FlightSnapshot, journaled, durable bool) []string {
 			}
 			if ts < last {
 				violations = append(violations,
-					"flight: node "+itoa(int64(v.Node))+" seq "+itoa(int64(v.Seq))+" stage "+st.String()+" out of causal order")
+					"flight: node "+strconv.Itoa(int(v.Node))+" seq "+strconv.FormatUint(v.Seq, 10)+" stage "+st.String()+" out of causal order")
 			}
 			last = ts
 		}
 	}
 	return violations
-}
-
-// itoa is a tiny strconv.FormatInt(…, 10) stand-in that keeps the
-// validator free of fmt in hot test loops.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

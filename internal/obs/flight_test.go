@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFlightRecorderSpanLifecycle(t *testing.T) {
@@ -63,6 +64,44 @@ func TestFlightRecorderSpanLifecycle(t *testing.T) {
 	}
 	if snap.Counters["flight.stage_events"] != 9 {
 		t.Errorf("stage_events = %d, want 9", snap.Counters["flight.stage_events"])
+	}
+}
+
+// TestFlightRecorderLatencyHistogram pins node.report_latency_us to the
+// recorder's own stamps: one observation per completed span, equal to
+// its truncated noised → ACK span, and none for a span never noised.
+func TestFlightRecorderLatencyHistogram(t *testing.T) {
+	fr := NewFlightRecorder(16)
+	r := NewRegistry()
+	m := NewFlightMetrics(r)
+	fr.SetMetrics(m)
+
+	fr.Record(1, 1, StageNoised)
+	time.Sleep(time.Millisecond) // a span long enough to be non-zero in µs
+	fr.Record(1, 1, StageAck)
+	v := fr.Snapshot().Spans[0]
+	want := (v.StampNs[StageAck] - v.StampNs[StageNoised]) / 1_000
+	if want < 1_000 {
+		t.Fatalf("span lasted %d µs across a 1 ms sleep", want)
+	}
+	if m.LatencyUs.Count() != 1 || m.LatencyUs.Sum() != want {
+		t.Fatalf("histogram count %d sum %d, want 1 and %d", m.LatencyUs.Count(), m.LatencyUs.Sum(), want)
+	}
+
+	// Repeat ACKs (duplicate collector ACKs) and late tx hits leave it.
+	fr.Record(1, 1, StageAck)
+	fr.Record(1, 1, StageTx)
+	if m.LatencyUs.Count() != 1 || m.LatencyUs.Sum() != want {
+		t.Fatalf("repeat hits re-observed: count %d sum %d", m.LatencyUs.Count(), m.LatencyUs.Sum())
+	}
+	if got := r.Snapshot().Counters["flight.spans_completed"]; got != m.LatencyUs.Count() {
+		t.Fatalf("spans_completed %d != histogram count %d", got, m.LatencyUs.Count())
+	}
+
+	// An ACK with no noised stamp has no latency to observe.
+	fr.Record(2, 9, StageAck)
+	if m.LatencyUs.Count() != 1 {
+		t.Fatalf("un-noised ACK observed: count %d", m.LatencyUs.Count())
 	}
 }
 
