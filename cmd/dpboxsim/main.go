@@ -49,7 +49,7 @@ import (
 
 	"ulpdp"
 	"ulpdp/internal/fault"
-	"ulpdp/internal/obs"
+	"ulpdp/internal/obs/debugsrv"
 )
 
 type session struct {
@@ -83,7 +83,7 @@ func run() int {
 		cfg.Obs = ulpdp.NewDPBoxMetrics(reg, 1)
 	}
 	if *debugAddr != "" {
-		addr, err := obs.ServeDebug(*debugAddr, reg)
+		addr, err := debugsrv.Serve(*debugAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dpboxsim:", err)
 			return 2

@@ -66,6 +66,7 @@ import (
 	"ulpdp/internal/fault"
 	"ulpdp/internal/fleet"
 	"ulpdp/internal/obs"
+	"ulpdp/internal/obs/debugsrv"
 )
 
 func main() {
@@ -172,7 +173,7 @@ func run() int {
 		cfg.Burn = burn
 	}
 	if *debugAddr != "" {
-		addr, derr := obs.ServeDebug(*debugAddr, cfg.Obs)
+		addr, derr := debugsrv.Serve(*debugAddr, cfg.Obs)
 		if derr != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", derr)
 			return 2

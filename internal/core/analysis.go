@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ulpdp/internal/laplace"
 )
@@ -56,6 +57,8 @@ type Analyzer struct {
 	pmf  []float64 // signed PMF; index k+maxK
 	cum  []float64 // cum[i] = sum of pmf[0..i-1]
 	maxK int64
+
+	cached atomic.Bool // held by the process-wide cache (cache.go)
 }
 
 // mustValidate guards the analyzer constructors: they are always

@@ -15,6 +15,11 @@ package core
 // Entries are evicted LRU once the cache exceeds either an entry
 // count or a total-PMF-size budget, so long-running services sweeping
 // many sensor configurations cannot grow it without bound.
+//
+// Caches of values derived from an analyzer (the DP-Box charge
+// tables) hold it too. They register an eviction hook and drop their
+// entries with it, so cacheMaxSteps bounds every PMF any cache keeps
+// reachable, not only the ones held here.
 
 import (
 	"container/list"
@@ -48,7 +53,31 @@ var (
 	cacheSteps  int64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
+	evictHooks  []func(*Analyzer)
 )
+
+// OnAnalyzerEvict registers fn to run for every analyzer the cache
+// drops, by LRU eviction or ResetAnalyzerCache. fn runs with the
+// cache lock held, so it must not call back into the cache; by the
+// time it runs, Cached already reports false for the analyzer.
+func OnAnalyzerEvict(fn func(*Analyzer)) {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	evictHooks = append(evictHooks, fn)
+}
+
+// Cached reports whether the process-wide cache holds a. It takes no
+// lock, so a derived cache can check, under its own lock, that an
+// analyzer it is about to retain has not already been evicted.
+func (a *Analyzer) Cached() bool { return a.cached.Load() }
+
+// evict marks an dropped and runs the hooks; callers hold cacheMu.
+func evict(an *Analyzer) {
+	an.cached.Store(false)
+	for _, fn := range evictHooks {
+		fn(an)
+	}
+}
 
 // CachedAnalyzer returns the process-wide shared Analyzer for par,
 // building (and caching) it on first use. It panics on invalid
@@ -102,6 +131,7 @@ func cachedAnalyzer(key cacheKey, build func() *Analyzer) *Analyzer {
 		return el.Value.(*cacheEntry).an
 	}
 	cacheByKey[key] = cacheLRU.PushFront(&cacheEntry{key: key, an: an})
+	an.cached.Store(true)
 	cacheSteps += int64(len(an.pmf))
 	for (len(cacheByKey) > cacheMaxEntries || cacheSteps > cacheMaxSteps) && len(cacheByKey) > 1 {
 		el := cacheLRU.Back()
@@ -109,6 +139,7 @@ func cachedAnalyzer(key cacheKey, build func() *Analyzer) *Analyzer {
 		cacheLRU.Remove(el)
 		delete(cacheByKey, ent.key)
 		cacheSteps -= int64(len(ent.an.pmf))
+		evict(ent.an)
 	}
 	return an
 }
@@ -125,6 +156,9 @@ func AnalyzerCacheStats() (hits, misses uint64) {
 func ResetAnalyzerCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
+	for el := cacheLRU.Front(); el != nil; el = el.Next() {
+		evict(el.Value.(*cacheEntry).an)
+	}
 	cacheByKey = map[cacheKey]*list.Element{}
 	cacheLRU.Init()
 	cacheSteps = 0

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ulpdp/internal/cordic"
@@ -136,7 +137,9 @@ type Config struct {
 	// Mult is the loss multiplier the internally computed guard
 	// threshold certifies (worst-case loss Mult·ε).
 	Mult float64
-	// Multipliers are the budget charging bands (ascending, < Mult).
+	// Multipliers are the budget charging bands: strictly ascending,
+	// each in (1, Mult). New rejects any other explicit slice and keeps
+	// its own copy; nil selects {1.25, 1.5}.
 	Multipliers []float64
 	// Log is the logarithm datapath; nil selects the CORDIC core the
 	// DP-Box ships (single-cycle, fully unrolled).
@@ -221,22 +224,13 @@ type DPBox struct {
 	ledger   *budgetLedger
 	ownTimer bool
 
-	// Derived noising state.
-	dirty     bool  // registers changed since last derivation
-	threshold int64 // guard threshold in steps
-	segs      []core.Segment
-	interiorU int64 // interior charge in budget units
-	topU      int64 // top charge in budget units
-	segU      []int64
-	sampler   *laplace.Sampler
-	an        *core.Analyzer
-
-	// Resample watchdog (resampling mode): cap on resample cycles and
-	// the certified thresholding clamp the trip degrades to.
-	resampleCap int   // 0 = watchdog off
-	degradeTh   int64 // certified thresholding threshold in steps
-	degradeU    int64 // degrade charge in budget units
-	degradeOK   bool  // degradeTh carries a certificate
+	// Derived noising state: the box's own sampler and the shared
+	// charge table of its configuration (nil before the first
+	// derivation). bands is Config.Multipliers in table-key form.
+	dirty   bool // registers changed since last derivation
+	sampler *laplace.Sampler
+	table   *chargeTable
+	bands   string
 
 	// Fault plane and URNG health gate.
 	fp            *fault.Plane
@@ -303,6 +297,18 @@ func New(cfg Config) (*DPBox, error) {
 	}
 	if cfg.Multipliers == nil {
 		cfg.Multipliers = []float64{1.25, 1.5}
+	} else {
+		for i, m := range cfg.Multipliers {
+			if !(m > 1 && m < cfg.Mult) {
+				return nil, fmt.Errorf("dpbox: multiplier %g (index %d) outside (1, %g)", m, i, cfg.Mult)
+			}
+			if i > 0 && !(m > cfg.Multipliers[i-1]) {
+				return nil, fmt.Errorf("dpbox: multipliers must be strictly ascending")
+			}
+		}
+		// The box keeps its own copy: a caller mutating the slice later
+		// must not move this box's charges.
+		cfg.Multipliers = slices.Clone(cfg.Multipliers)
 	}
 	if cfg.Source == nil {
 		cfg.Source = urng.NewTaus88(1)
@@ -339,6 +345,7 @@ func New(cfg Config) (*DPBox, error) {
 		cfg.Source = countingSource{src: cfg.Source, c: m.URNGDraws}
 	}
 	b := &DPBox{cfg: cfg, fp: cfg.Faults, phase: PhaseInit, thOverride: -1, dirty: true,
+		bands:  encodeBands(cfg.Multipliers),
 		ledger: &budgetLedger{j: cfg.Journal, obs: cfg.Obs}, ownTimer: true, healthy: true,
 		obs: cfg.Obs, obsCh: cfg.ObsChannel}
 	if j := cfg.Journal; j != nil {
@@ -468,8 +475,13 @@ func (b *DPBox) BudgetRemaining() float64 {
 }
 
 // Threshold returns the guard threshold currently in effect, in
-// steps. Valid after the first noising transaction.
-func (b *DPBox) Threshold() int64 { return b.threshold }
+// steps. Valid after the first noising transaction (0 before).
+func (b *DPBox) Threshold() int64 {
+	if b.table == nil {
+		return 0
+	}
+	return b.table.threshold
+}
 
 // Epsilon returns the configured per-report ε.
 func (b *DPBox) Epsilon() float64 { return math.Ldexp(1, -b.epsShift) }
@@ -668,6 +680,8 @@ func (b *DPBox) params() core.Params {
 	}
 }
 
+// derive builds the box's sampler for the current registers and
+// attaches the shared charge table of its configuration.
 func (b *DPBox) derive() error {
 	par := b.params()
 	if err := par.Validate(); err != nil {
@@ -686,143 +700,21 @@ func (b *DPBox) derive() error {
 		}
 	}
 	b.sampler = hw
-	switch {
-	case b.cfg.GuardDisabled:
-		b.threshold = laplace.NewDist(par.FxP()).MaxK()
-		b.an = nil
-		b.segs = nil
-	case b.thOverride >= 0:
-		b.threshold = b.thOverride
-		b.an = core.CachedAnalyzer(par)
-	default:
-		var th int64
-		var err error
-		switch {
-		case b.resampling && b.cfg.ConstantTime:
-			th, err = core.ExactConstantTimeThreshold(par, b.cfg.Mult, b.cfg.Candidates)
-		case b.resampling:
-			th, err = core.ResamplingThreshold(par, b.cfg.Mult)
-		default:
-			th, err = core.ThresholdingThreshold(par, b.cfg.Mult)
-		}
-		if err != nil {
-			return err
-		}
-		b.threshold = th
-		b.an = core.CachedAnalyzer(par)
+	t, err := chargeTableFor(b.tableKey(par))
+	if err != nil {
+		return err
 	}
-	// Resample watchdog: cap the resample loop at a bound derived from
-	// the exact miss probability, and precompute the certified
-	// thresholding clamp the trip degrades to.
-	b.resampleCap, b.degradeOK = 0, false
-	if b.resampling && !b.cfg.ConstantTime && !b.cfg.GuardDisabled && !b.cfg.WatchdogDisabled {
-		pMiss := laplace.NewDist(par.FxP()).TailMag(b.threshold + 1)
-		b.resampleCap = watchdogCap(pMiss)
-		if th, err := core.ThresholdingThreshold(par, b.cfg.Mult); err == nil {
-			b.degradeTh = th
-			b.degradeU = ceilUnits(b.cfg.Mult * par.Eps)
-			b.degradeOK = true
-		}
-	}
-	if b.an != nil {
-		// Resampling renormalizes each input's conditional by its
-		// acceptance mass; the per-output charges (derived from the
-		// thresholding profile) absorb that slack explicitly, capped
-		// at the certified top charge.
-		zSlack := 0.0
-		if b.resampling {
-			tail := laplace.NewDist(par.FxP()).TailMag(b.threshold)
-			zSlack = -math.Log1p(-2 * tail)
-		}
-		b.segs = b.an.Segments(b.threshold, b.cfg.Multipliers)
-		b.interiorU = ceilUnits(b.an.InteriorLoss(b.threshold) + zSlack)
-		if b.thOverride < 0 {
-			// Certified threshold: the exact worst case is below
-			// Mult·ε, so Mult·ε is a sound top band and caps every
-			// other charge.
-			b.topU = ceilUnits(b.cfg.Mult * par.Eps)
-			b.interiorU = minI64(b.interiorU, b.topU)
-		} else {
-			// Override (e.g. randomized-response mode): the threshold
-			// carries no certificate, so the charge table must come
-			// from the exact analysis. An infinite worst case (an
-			// override into the hole region) drains the entire budget
-			// on first use — the honest price of an uncertified
-			// configuration.
-			rep := b.an.ThresholdingLoss(b.threshold)
-			if rep.Infinite {
-				b.topU = math.MaxInt32
-			} else {
-				b.topU = ceilUnits(rep.MaxLoss)
-			}
-			if b.interiorU > b.topU {
-				b.topU = b.interiorU
-			}
-		}
-		b.segU = make([]int64, len(b.segs))
-		for i, s := range b.segs {
-			b.segU[i] = minI64(ceilUnits(s.Mult*par.Eps+zSlack), b.topU)
-		}
-	} else {
-		// Naive mode: flat nominal charge (and no guarantee — the
-		// entire point of Fig. 12).
-		b.interiorU = ceilUnits(par.Eps)
-		b.topU = b.interiorU
-		b.segU = nil
-	}
+	b.table = t
 	return nil
-}
-
-// watchdogCap converts the per-cycle miss probability of the resample
-// loop into the watchdog's cycle cap: the smallest n with
-// pMiss^n ≤ 2^-64, clamped to [4, 2048]. An honest URNG therefore
-// trips the watchdog with probability at most 2^-64 per transaction;
-// any trip in practice indicates a faulty or adversarial RNG, and the
-// transaction degrades to the certified thresholding clamp instead of
-// looping forever.
-func watchdogCap(pMiss float64) int {
-	const failBits = 64
-	if !(pMiss > 0) {
-		// A miss is impossible for an honest RNG; keep a small cap as
-		// a backstop against fault-induced misses.
-		return 4
-	}
-	if pMiss >= 1 {
-		return 2048
-	}
-	n := int(math.Ceil(failBits * math.Ln2 / -math.Log(pMiss)))
-	if n < 4 {
-		n = 4
-	}
-	if n > 2048 {
-		n = 2048
-	}
-	return n
-}
-
-func ceilUnits(nats float64) int64 {
-	// Infinite or absurd losses saturate to the budget-draining
-	// charge: converting +Inf to int64 directly would wrap negative
-	// and *credit* the ledger.
-	if math.IsNaN(nats) || nats >= float64(math.MaxInt32)*chargeUnit {
-		return math.MaxInt32
-	}
-	return int64(math.Ceil(nats / chargeUnit))
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // chargeUnitsFor maps a raw (pre-clamp) output step to its budget
 // charge in sixteenth-nat units, mirroring budget.Controller.
 func (b *DPBox) chargeUnitsFor(y int64) int64 {
+	t := b.table
 	if y >= b.rangeLower && y <= b.rangeUpper {
 		b.lastBand = 0
-		return b.interiorU
+		return t.interiorU
 	}
 	var offset int64
 	if y > b.rangeUpper {
@@ -830,14 +722,14 @@ func (b *DPBox) chargeUnitsFor(y int64) int64 {
 	} else {
 		offset = b.rangeLower - y
 	}
-	for i, s := range b.segs {
+	for i, s := range t.segs {
 		if offset <= s.Offset {
 			b.lastBand = int64(i) + 1
-			return b.segU[i]
+			return t.segU[i]
 		}
 	}
-	b.lastBand = int64(len(b.segs)) + 1
-	return b.topU
+	b.lastBand = int64(len(t.segs)) + 1
+	return t.topU
 }
 
 // Step advances the clock one cycle. A dead module has no clock; the
@@ -918,8 +810,9 @@ func (b *DPBox) noisingCycle() {
 	}
 	y := b.sensor + b.pendingK
 	b.haveK = false // sample consumed
-	lo := b.rangeLower - b.threshold
-	hi := b.rangeUpper + b.threshold
+	t := b.table
+	lo := b.rangeLower - t.threshold
+	hi := b.rangeUpper + t.threshold
 	if b.resampling && !b.cfg.GuardDisabled {
 		if b.cfg.ConstantTime {
 			// All candidates are drawn this same cycle by parallel
@@ -945,7 +838,7 @@ func (b *DPBox) noisingCycle() {
 				m.Resamples.Inc()
 				m.Trace.Emit(EvResample, b.cycles, int64(b.obsCh), int64(b.resamples), 0)
 			}
-			if b.resampleCap > 0 && b.resamples >= b.resampleCap {
+			if t.resampleCap > 0 && b.resamples >= t.resampleCap {
 				b.degrade(y)
 				return
 			}
@@ -964,7 +857,7 @@ func (b *DPBox) noisingCycle() {
 		if y > hi {
 			y = hi
 		}
-		if b.threshold == 0 {
+		if t.threshold == 0 {
 			// Randomized-response configuration: 1-bit output stage.
 			if 2*y > b.rangeLower+b.rangeUpper {
 				y = b.rangeUpper
@@ -991,7 +884,8 @@ func (b *DPBox) degrade(y int64) {
 		m.Degraded.Inc()
 		m.Trace.Emit(EvDegrade, b.cycles, int64(b.obsCh), int64(b.resamples), 0)
 	}
-	if !b.degradeOK {
+	t := b.table
+	if !t.degradeOK {
 		if b.haveCache {
 			b.finish(b.cache, 0, true)
 		} else {
@@ -999,13 +893,13 @@ func (b *DPBox) degrade(y int64) {
 		}
 		return
 	}
-	charge := b.topU
-	if b.degradeU > charge {
-		charge = b.degradeU
+	charge := t.topU
+	if t.degradeU > charge {
+		charge = t.degradeU
 	}
-	b.lastBand = int64(len(b.segs)) + 1 // degrade always pays the top band
-	lo := b.rangeLower - b.degradeTh
-	hi := b.rangeUpper + b.degradeTh
+	b.lastBand = int64(len(t.segs)) + 1 // degrade always pays the top band
+	lo := b.rangeLower - t.degradeTh
+	hi := b.rangeUpper + t.degradeTh
 	if y < lo {
 		y = lo
 	}
@@ -1017,11 +911,21 @@ func (b *DPBox) degrade(y int64) {
 
 // ResampleCap returns the watchdog's resample-cycle cap (0 when the
 // watchdog is inactive). Valid after the first noising transaction.
-func (b *DPBox) ResampleCap() int { return b.resampleCap }
+func (b *DPBox) ResampleCap() int {
+	if b.table == nil {
+		return 0
+	}
+	return b.table.resampleCap
+}
 
 // DegradeThreshold returns the certified thresholding clamp the
 // watchdog degrades to, and whether one is available.
-func (b *DPBox) DegradeThreshold() (int64, bool) { return b.degradeTh, b.degradeOK }
+func (b *DPBox) DegradeThreshold() (int64, bool) {
+	if b.table == nil {
+		return 0, false
+	}
+	return b.table.degradeTh, b.table.degradeOK
+}
 
 // LastDegraded reports whether the most recent transaction tripped
 // the resample watchdog.

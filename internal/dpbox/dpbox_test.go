@@ -339,18 +339,18 @@ func TestChargesMatchBandStructure(t *testing.T) {
 	}
 	// Interior raw outputs cost the interior charge; the most an
 	// output can cost is Mult·ε rounded up to a sixteenth.
-	interior := float64(b.interiorU) * chargeUnit
+	interior := float64(b.table.interiorU) * chargeUnit
 	if interior < 0.4 || interior > 1 {
 		t.Errorf("interior charge = %g implausible for ε=0.5", interior)
 	}
-	top := float64(b.topU) * chargeUnit
+	top := float64(b.table.topU) * chargeUnit
 	if top < 1 || top > 1.1 {
 		t.Errorf("top charge = %g, want ~2·ε = 1", top)
 	}
-	for y := int64(-b.threshold); y <= 16+b.threshold; y++ {
+	for y := int64(-b.table.threshold); y <= 16+b.table.threshold; y++ {
 		c := b.chargeUnitsFor(y)
-		if c < b.interiorU || c > b.topU {
-			t.Errorf("charge for %d = %d outside [%d, %d]", y, c, b.interiorU, b.topU)
+		if c < b.table.interiorU || c > b.table.topU {
+			t.Errorf("charge for %d = %d outside [%d, %d]", y, c, b.table.interiorU, b.table.topU)
 		}
 	}
 }

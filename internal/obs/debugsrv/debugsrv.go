@@ -1,4 +1,8 @@
-package obs
+// Package debugsrv is the live debug surface of the telemetry plane:
+// expvar, Prometheus text and net/http/pprof over HTTP. It is its own
+// package so that only the binaries that serve it link net/http/pprof;
+// importing obs alone does not.
+package debugsrv
 
 import (
 	"expvar"
@@ -6,27 +10,29 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+
+	"ulpdp/internal/obs"
 )
 
-// ServeDebug serves r for live inspection on addr: expvar on
+// Serve serves r for live inspection on addr: expvar on
 // /debug/vars (r published as "ulpdp"), Prometheus text exposition on
 // /metrics, and net/http/pprof under /debug/pprof/. It listens before
 // it returns, so a bad address fails the caller at startup; the server
 // then runs for the rest of the process. The returned address is the
 // bound one (useful with port 0).
-func ServeDebug(addr string, r *Registry) (net.Addr, error) {
+func Serve(addr string, r *obs.Registry) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: debug server: %w", err)
+		return nil, fmt.Errorf("debugsrv: %w", err)
 	}
 	r.PublishExpvar("ulpdp")
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", PrometheusContentType)
+		w.Header().Set("Content-Type", obs.PrometheusContentType)
 		// A failed write means the scraper went away; there is no one
 		// left to report it to.
-		_ = WritePrometheus(w, r.Snapshot())
+		_ = obs.WritePrometheus(w, r.Snapshot())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

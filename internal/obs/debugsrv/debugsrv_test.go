@@ -1,16 +1,18 @@
-package obs
+package debugsrv
 
 import (
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+
+	"ulpdp/internal/obs"
 )
 
 func TestServeDebug(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("debug.probe").Add(7)
-	addr, err := ServeDebug("127.0.0.1:0", r)
+	addr, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestServeDebug(t *testing.T) {
 		}
 	}
 
-	if _, err := ServeDebug("127.0.0.1:-1", r); err == nil {
-		t.Fatal("ServeDebug accepted an invalid port")
+	if _, err := Serve("127.0.0.1:-1", r); err == nil {
+		t.Fatal("Serve accepted an invalid port")
 	}
 }
