@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ulpdp/internal/core"
 	"ulpdp/internal/laplace"
@@ -118,7 +119,7 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 	if cfg.Mult == 0 {
 		cfg.Mult = 2
 	}
-	if cfg.Mult <= 1 {
+	if !(cfg.Mult > 1) {
 		return nil, fmt.Errorf("budget: loss multiplier %g must exceed 1", cfg.Mult)
 	}
 	if cfg.Source == nil {
@@ -134,6 +135,9 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The controller keeps its own copy: a caller mutating the slice
+	// later must not change its configuration.
+	cfg.Multipliers = slices.Clone(cfg.Multipliers)
 	mults := cfg.Multipliers
 	if mults == nil {
 		for _, m := range []float64{1.5, 2} {
@@ -143,11 +147,11 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 		}
 	}
 	for i, m := range mults {
-		if m <= 1 || m >= cfg.Mult {
+		if !(m > 1 && m < cfg.Mult) {
 			return nil, fmt.Errorf("budget: multiplier %g (index %d) outside (1, %g)", m, i, cfg.Mult)
 		}
-		if i > 0 && m <= mults[i-1] {
-			return nil, fmt.Errorf("budget: multipliers must be ascending")
+		if i > 0 && !(m > mults[i-1]) {
+			return nil, fmt.Errorf("budget: multipliers must be strictly ascending")
 		}
 	}
 	an := core.CachedAnalyzer(par)

@@ -40,6 +40,33 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFiniteMultipliers: NaN fails every ordered
+// comparison, so a check written as "m <= 1 || m >= Mult" lets it
+// through; New must reject it, ±Inf and a NaN Mult up front.
+func TestNewRejectsNonFiniteMultipliers(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, cfg := range []Config{
+		{Budget: 1, Multipliers: []float64{nan}},
+		{Budget: 1, Multipliers: []float64{1.5, nan}},
+		{Budget: 1, Multipliers: []float64{nan, 1.5}},
+		{Budget: 1, Multipliers: []float64{inf}},
+		{Budget: 1, Multipliers: []float64{-inf}},
+		{Budget: 1, Mult: 3, Multipliers: []float64{1.5, inf}},
+		{Budget: 1, Mult: nan},
+	} {
+		if _, err := New(par, cfg); err == nil {
+			t.Errorf("New accepted Mult %g, multipliers %v", cfg.Mult, cfg.Multipliers)
+		}
+	}
+	// New keeps its own copy of the multipliers.
+	mults := []float64{1.5}
+	c := newController(t, Config{Budget: 1, Multipliers: mults})
+	mults[0] = nan
+	if got := c.cfg.Multipliers[0]; got != 1.5 {
+		t.Errorf("caller's slice edit reached the controller: %g", got)
+	}
+}
+
 func TestChargeBands(t *testing.T) {
 	c := newController(t, Config{Budget: 100, Mult: 3, Multipliers: []float64{1.5, 2}})
 	// In-range outputs cost the interior charge, close to ε.

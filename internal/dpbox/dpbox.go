@@ -41,6 +41,9 @@ var (
 	// ErrUnhealthy reports a refused StartNoising: the online URNG
 	// battery is failing and no cached output exists to replay.
 	ErrUnhealthy = errors.New("dpbox: urng health battery failing; noising refused")
+	// ErrSeqExpired reports a NoiseValueSeq refused for a sequence
+	// number below NextSeq that the release window does not hold.
+	ErrSeqExpired = errors.New("dpbox: sequence number below the release window")
 )
 
 // Command is the 3-bit command port encoding.
@@ -253,15 +256,11 @@ type DPBox struct {
 	cache      int64
 	haveCache  bool
 
-	// Per-sequence release cache (fleet at-most-once noising): every
-	// value released under a report sequence number, mirrored from the
-	// journal so NoiseValueSeq can replay instead of redrawing. The
-	// map grows with the power cycle's releases; recovery compaction
-	// trims it to the retransmission window.
-	releases  map[uint64]Release
-	maxRelSeq uint64
-	seqArmed  bool   // the in-flight transaction carries a report seq
-	armedSeq  uint64 // that seq
+	// Release window (fleet at-most-once noising), mirrored from the
+	// journal so NoiseValueSeq can replay instead of redrawing.
+	window   releaseWindow
+	seqArmed bool   // the in-flight transaction carries a report seq
+	armedSeq uint64 // that seq
 
 	// Telemetry plane (nil = disabled) and this box's odometer
 	// channel / trace label.
@@ -946,7 +945,7 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 			b.powerFail()
 			return
 		}
-		b.recordRelease(b.armedSeq, rel)
+		b.window.push(SeqRelease{b.armedSeq, rel})
 		if m := b.obs; m != nil {
 			m.Flight.Record(int64(b.obsCh), b.armedSeq, obs.StageJournal)
 		}
@@ -986,18 +985,6 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 			m.Odometer.Charge(b.obsCh, float64(chargeU)*chargeUnit)
 			m.Trace.Emit(EvCharge, b.cycles, int64(b.obsCh), chargeU, y)
 		}
-	}
-}
-
-// recordRelease mirrors a durable release binding into the in-memory
-// cache.
-func (b *DPBox) recordRelease(seq uint64, rel Release) {
-	if b.releases == nil {
-		b.releases = make(map[uint64]Release)
-	}
-	b.releases[seq] = rel
-	if seq >= b.maxRelSeq {
-		b.maxRelSeq = seq
 	}
 }
 
@@ -1064,16 +1051,20 @@ func (b *DPBox) NoiseValue(x int64) (NoiseResult, error) {
 }
 
 // NoiseValueSeq is NoiseValue for a report labelled with a per-node
-// monotonic sequence number: noise for a sequence is drawn at most
-// once, ever. The first call for seq runs a normal transaction whose
-// (seq, value) binding is journaled atomically with its budget charge;
-// any later call for the same seq — a retry loop re-asking after a
-// lost ACK, or a fresh boot replaying after a crash mid-retry —
-// returns the recorded value verbatim with Replayed set, drawing no
-// noise and charging nothing. Retransmitting a release is therefore
+// monotonic sequence number: only a seq at or above NextSeq is noised,
+// so noise for a sequence is drawn at most once, ever. That call's
+// (seq, value) binding is journaled atomically with its budget charge.
+// A later call for a seq the release window holds (a retry after a
+// lost ACK or a crash) returns the recorded value with Replayed set;
+// any other seq below NextSeq returns ErrSeqExpired. Neither draws
+// noise or charges anything, so retransmitting a release is
 // privacy-free: the wire never carries two noisings of one reading.
 func (b *DPBox) NoiseValueSeq(seq uint64, x int64) (NoiseResult, error) {
-	if rel, ok := b.releases[seq]; ok {
+	if seq < b.window.next {
+		rel, ok := b.window.find(seq)
+		if !ok {
+			return NoiseResult{}, ErrSeqExpired
+		}
 		if m := b.obs; m != nil {
 			m.SeqReplays.Inc()
 			m.Trace.Emit(EvSeqReplay, b.cycles, int64(b.obsCh), int64(seq), rel.Value)
@@ -1094,29 +1085,13 @@ func (b *DPBox) NoiseValueSeq(seq uint64, x int64) (NoiseResult, error) {
 }
 
 // ReleaseFor returns the durably released value for a sequence, if
-// one exists (in this power cycle or recovered from the journal).
-func (b *DPBox) ReleaseFor(seq uint64) (Release, bool) {
-	rel, ok := b.releases[seq]
-	return rel, ok
-}
-
-// Releases returns a copy of the known (sequence → release) bindings.
-func (b *DPBox) Releases() map[uint64]Release {
-	out := make(map[uint64]Release, len(b.releases))
-	for s, r := range b.releases {
-		out[s] = r
-	}
-	return out
-}
+// the release window holds it (released in this power cycle or
+// recovered from the journal).
+func (b *DPBox) ReleaseFor(seq uint64) (Release, bool) { return b.window.find(seq) }
 
 // NextSeq returns the smallest sequence number strictly above every
 // known release (0 on a box that has never released).
-func (b *DPBox) NextSeq() uint64 {
-	if len(b.releases) == 0 {
-		return 0
-	}
-	return b.maxRelSeq + 1
-}
+func (b *DPBox) NextSeq() uint64 { return b.window.next }
 
 // Initialize drives the boot-time configuration: budget (in nats) and
 // replenishment period (cycles; 0 disables), then locks and enters

@@ -98,6 +98,11 @@ func TestJournalGoldenWordStream(t *testing.T) {
 		ref.appendConfig(1<<20, 4096)
 		requireWordsEqual(t, "config", j.Snapshot(), ref.words)
 		reportSeq := uint64(0)
+		// The reference's own record of every release it journaled,
+		// independent of Replay's window. Seqs only grow, so the
+		// newest compactReleaseCap of them are the window every
+		// compaction keeps.
+		refRels := make(map[uint64]legacyRelease)
 		for op := 0; op < 400; op++ {
 			switch rng.Intn(5) {
 			case 0:
@@ -109,6 +114,7 @@ func TestJournalGoldenWordStream(t *testing.T) {
 				flags := uint16(rng.Intn(4))
 				j.appendChargeRelease(u, reportSeq, v, flags)
 				ref.appendChargeRelease(u, reportSeq, v, flags)
+				refRels[reportSeq] = legacyRelease{v, flags}
 				reportSeq++
 			case 2:
 				j.appendReplenish()
@@ -132,9 +138,9 @@ func TestJournalGoldenWordStream(t *testing.T) {
 				ref.seq = 0
 				ref.appendConfig(st.InitialUnits, st.ReplenishEvery)
 				ref.appendCheckpoint(st.Units)
-				for _, s := range compactOrder(st) {
-					rel := st.Releases[s]
-					ref.appendChargeRelease(0, s, rel.Value, rel.flags())
+				for _, s := range compactOrder(refRels) {
+					rel := refRels[s]
+					ref.appendChargeRelease(0, s, rel.value, rel.flags)
 				}
 			}
 			requireWordsEqual(t, "op", j.Snapshot(), ref.words)
@@ -142,11 +148,17 @@ func TestJournalGoldenWordStream(t *testing.T) {
 	}
 }
 
+// legacyRelease is one journaled release as the reference wrote it.
+type legacyRelease struct {
+	value int64
+	flags uint16
+}
+
 // compactOrder reproduces compact's release ordering: ascending seq,
 // trimmed to the newest compactReleaseCap.
-func compactOrder(st LedgerState) []uint64 {
-	seqs := make([]uint64, 0, len(st.Releases))
-	for s := range st.Releases {
+func compactOrder(rels map[uint64]legacyRelease) []uint64 {
+	seqs := make([]uint64, 0, len(rels))
+	for s := range rels {
 		seqs = append(seqs, s)
 	}
 	for i := 1; i < len(seqs); i++ {

@@ -3,7 +3,6 @@ package dpbox
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ulpdp/internal/nvm"
 )
@@ -76,7 +75,7 @@ func newJournalWith(med nvm.Medium, pw *nvm.Power) *Journal {
 
 // OpenJournal opens (or creates) a file-backed journal under dir, so
 // a killed-and-restarted process recovers the budget ledger and
-// release cache from disk. Pass a non-empty journal to Recover; a
+// release window from disk. Pass a non-empty journal to Recover; a
 // fresh one goes straight to DPBox.Initialize.
 func OpenJournal(dir string) (*Journal, error) {
 	med, err := nvm.OpenFileMedium(dir, 1)
@@ -106,12 +105,11 @@ const (
 	relFlagFromCache = 1 << 1
 )
 
-// compactReleaseCap bounds how many release records recovery carries
-// into the compacted journal: the highest-seq entries survive, older
-// ones are dropped. A node's retransmission window (un-ACKed
-// sequences that may still be asked for after a crash) must stay
-// below this cap; the sequential ReportAgent keeps exactly one
-// report outstanding, far under it.
+// compactReleaseCap is the size of the release window: the newest
+// releases the box keeps in RAM and recovery rewrites into the
+// compacted journal. A node's retransmission window (un-ACKed
+// sequences that may be asked for again after a crash) must fit in
+// it; the sequential ReportAgent keeps one report outstanding.
 const compactReleaseCap = 64
 
 // payloadLen returns the payload word count for a tag, or -1 for an
@@ -242,6 +240,50 @@ func releaseFromFlags(value int64, f uint16) Release {
 	}
 }
 
+// SeqRelease is a Release bound to its report sequence number.
+type SeqRelease struct {
+	Seq uint64
+	Release
+}
+
+// releaseWindow is a ring of the newest compactReleaseCap releases,
+// grown lazily to that cap, with the oldest entry at head.
+type releaseWindow struct {
+	buf  []SeqRelease
+	head int
+	next uint64 // one above the highest seq pushed (0 when none)
+}
+
+// push adds e as the newest entry, evicting the oldest once the ring
+// is full. A seq below next, which no journal the box writes holds,
+// is dropped: NoiseValueSeq then refuses it with ErrSeqExpired.
+func (w *releaseWindow) push(e SeqRelease) {
+	if e.Seq < w.next {
+		return
+	}
+	if len(w.buf) < compactReleaseCap {
+		w.buf = append(w.buf, e)
+	} else {
+		w.buf[w.head] = e
+		w.head = (w.head + 1) % compactReleaseCap
+	}
+	w.next = e.Seq + 1
+}
+
+// ordered returns the entries oldest first.
+func (w *releaseWindow) ordered() []SeqRelease {
+	return append(w.buf[w.head:len(w.buf):len(w.buf)], w.buf[:w.head]...)
+}
+
+func (w *releaseWindow) find(seq uint64) (Release, bool) {
+	for _, e := range w.buf {
+		if e.Seq == seq {
+			return e.Release, true
+		}
+	}
+	return Release{}, false
+}
+
 // LedgerState is the budget ledger state reconstructed by Replay.
 type LedgerState struct {
 	// Configured reports whether a config record was recovered; false
@@ -253,9 +295,9 @@ type LedgerState struct {
 	Units int64
 	// ReplenishEvery is the locked replenishment period in cycles.
 	ReplenishEvery uint64
-	// Releases maps report sequence numbers to their durably released
-	// values (nil when the journal holds none).
-	Releases map[uint64]Release
+	// Releases is the release window: the newest compactReleaseCap
+	// durable releases, oldest first (nil when the journal holds none).
+	Releases []SeqRelease
 }
 
 // Replay reconstructs the ledger from the durable words. A truncated
@@ -266,10 +308,10 @@ type LedgerState struct {
 // and every record it could lose was by construction never emitted.
 func (j *Journal) Replay() (LedgerState, error) {
 	var st LedgerState
+	var window releaseWindow
 	var pendAmt int64
 	var pendSeq uint16
-	var pendRelSeq uint64
-	var pendRel Release
+	var pendRel SeqRelease
 	pending, pendingRel := false, false
 	sc := nvm.NewScanner(budgetLayout(), j.r.Words(0))
 	for {
@@ -296,8 +338,7 @@ func (j *Journal) Replay() (LedgerState, error) {
 			if !pending {
 				return st, errors.New("dpbox: journal release record outside a charge transaction")
 			}
-			pendRelSeq = uint64(nvm.Dec64(payload[0:4]))
-			pendRel = releaseFromFlags(nvm.Dec64(payload[4:8]), payload[8])
+			pendRel = SeqRelease{uint64(nvm.Dec64(payload[0:4])), releaseFromFlags(nvm.Dec64(payload[4:8]), payload[8])}
 			pendingRel = true
 		case tagCommit:
 			if pending && seq == pendSeq {
@@ -306,10 +347,7 @@ func (j *Journal) Replay() (LedgerState, error) {
 					st.Units = 0
 				}
 				if pendingRel {
-					if st.Releases == nil {
-						st.Releases = make(map[uint64]Release)
-					}
-					st.Releases[pendRelSeq] = pendRel
+					window.push(pendRel)
 				}
 			}
 			pending, pendingRel = false, false
@@ -321,14 +359,14 @@ func (j *Journal) Replay() (LedgerState, error) {
 			st.Units = nvm.Dec64(payload)
 		}
 	}
+	st.Releases = window.ordered()
 	return st, nil
 }
 
 // compact rewrites the journal as a fresh config + checkpoint pair
-// followed by the most recent release bindings (up to
-// compactReleaseCap, as zero-charge transactions — the checkpoint
-// already accounts for their spend), bounding NVM growth across power
-// cycles while keeping the retransmission window replayable.
+// followed by the release window (as zero-charge transactions — the
+// checkpoint already accounts for their spend), bounding NVM growth
+// across power cycles.
 func (j *Journal) compact(st LedgerState) error {
 	// Recovery-time rewrites are not charge traffic: suspend the
 	// intent/commit telemetry while old transactions are folded into
@@ -342,17 +380,8 @@ func (j *Journal) compact(st LedgerState) error {
 	if !j.appendConfig(st.InitialUnits, st.ReplenishEvery) || !j.appendCheckpoint(st.Units) {
 		return errors.New("dpbox: journal compaction failed (NVM dead)")
 	}
-	seqs := make([]uint64, 0, len(st.Releases))
-	for s := range st.Releases {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-	if len(seqs) > compactReleaseCap {
-		seqs = seqs[len(seqs)-compactReleaseCap:]
-	}
-	for _, s := range seqs {
-		rel := st.Releases[s]
-		if !j.appendChargeRelease(0, s, rel.Value, rel.flags()) {
+	for _, e := range st.Releases {
+		if !j.appendChargeRelease(0, e.Seq, e.Value, e.flags()) {
 			return errors.New("dpbox: journal compaction failed (NVM dead)")
 		}
 	}
@@ -393,13 +422,10 @@ func Recover(cfg Config, j *Journal) (*DPBox, error) {
 	b.ledger.replenishEvery = st.ReplenishEvery
 	b.ledger.since = 0
 	b.ledger.locked = true
-	// Restore the release cache so sequence-labelled retries replay
-	// the pre-crash values instead of redrawing. The in-memory cache
-	// keeps everything the replay recovered; only the compacted NVM
-	// copy is trimmed to the retransmission window, so a second crash
-	// preserves at least that window.
-	for seq, rel := range st.Releases {
-		b.recordRelease(seq, rel)
+	// Restore the release window, the same entries compact just wrote,
+	// so sequence-labelled retries replay instead of redrawing.
+	for _, e := range st.Releases {
+		b.window.push(e)
 	}
 	b.phase = PhaseWaiting
 	if m := b.obs; m != nil {

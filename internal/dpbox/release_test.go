@@ -1,6 +1,7 @@
 package dpbox
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -15,6 +16,17 @@ func journalCfg(seed uint64) (Config, *Journal) {
 	cfg := smallCfg(seed)
 	cfg.Journal = j
 	return cfg, j
+}
+
+// windowOf collects the box's release window through ReleaseFor.
+func windowOf(b *DPBox) map[uint64]Release {
+	rels := make(map[uint64]Release)
+	for seq := uint64(0); seq < b.NextSeq(); seq++ {
+		if rel, ok := b.ReleaseFor(seq); ok {
+			rels[seq] = rel
+		}
+	}
+	return rels
 }
 
 func TestNoiseValueSeqAtMostOnce(t *testing.T) {
@@ -84,7 +96,7 @@ func TestRecoveredReplayIsBitExact(t *testing.T) {
 	}
 
 	// Crash: volatile state (including the noise stream position and
-	// the release map) is gone; only the journal survives.
+	// the release window) is gone; only the journal survives.
 	j.Kill()
 	b2, err := Recover(smallCfg(999), j) // different URNG seed on purpose
 	if err != nil {
@@ -202,7 +214,7 @@ func TestSeqReleasePowerLossSweep(t *testing.T) {
 		// Invariant C: a recovered release the caller never saw is the
 		// one allowed charged-but-unemitted transaction; it must still
 		// replay consistently if re-asked.
-		rels := rec.Releases()
+		rels := windowOf(rec)
 		if extra := len(rels) - len(emitted); extra < 0 || extra > 1 {
 			t.Fatalf("cut %d: %d recovered releases for %d emissions", cut, len(rels), len(emitted))
 		}
@@ -275,9 +287,10 @@ func TestCompactionKeepsRetransmissionWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First recovery: the in-memory cache holds everything replayed.
-	if got := len(b2.Releases()); got != n {
-		t.Fatalf("first recovery holds %d releases, want %d", got, n)
+	// First recovery: RAM holds the same window the compacted NVM
+	// does, not everything the replay saw.
+	if got := len(windowOf(b2)); got != compactReleaseCap {
+		t.Fatalf("first recovery holds %d releases, want the %d-entry window", got, compactReleaseCap)
 	}
 	// Second crash: only the compacted window survived on NVM.
 	j.Kill()
@@ -285,7 +298,7 @@ func TestCompactionKeepsRetransmissionWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels := b3.Releases()
+	rels := windowOf(b3)
 	if got := len(rels); got != compactReleaseCap {
 		t.Fatalf("second recovery holds %d releases, want the %d-entry window", got, compactReleaseCap)
 	}
@@ -300,6 +313,142 @@ func TestCompactionKeepsRetransmissionWindow(t *testing.T) {
 	}
 	if b3.NextSeq() != n {
 		t.Fatalf("NextSeq after double recovery = %d, want %d", b3.NextSeq(), n)
+	}
+}
+
+// TestExpiredSeqRefused asks for sequence numbers below NextSeq that
+// the release window no longer holds, after two crash recoveries and
+// on a box that never crashed: each must fail with ErrSeqExpired,
+// leave the budget untouched, and draw no noise (the next fresh
+// release matches a twin box that was never asked).
+func TestExpiredSeqRefused(t *testing.T) {
+	const n = compactReleaseCap + 20
+	// next makes n releases and crashes times Kill+Recover, optionally
+	// asks for the expired seq 0, then noises the fresh seq n.
+	next := func(crashes int, ask bool) NoiseResult {
+		cfg, j := journalCfg(29)
+		b := boot(t, cfg, 1e9)
+		for seq := uint64(0); seq < n; seq++ {
+			if _, err := b.NoiseValueSeq(seq, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := 0; c < crashes; c++ {
+			j.Kill()
+			var err error
+			if b, err = Recover(smallCfg(uint64(30+c)), j); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Configure(1, 0, 16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ask {
+			before := b.BudgetRemaining()
+			if r, err := b.NoiseValueSeq(0, 3); !errors.Is(err, ErrSeqExpired) {
+				t.Fatalf("%d crashes: expired seq 0 returned %+v, %v; want ErrSeqExpired", crashes, r, err)
+			}
+			if spent := before - b.BudgetRemaining(); spent != 0 {
+				t.Fatalf("%d crashes: refused request charged %g nats", crashes, spent)
+			}
+		}
+		r, err := b.NoiseValueSeq(n, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, crashes := range []int{2, 0} {
+		if got, twin := next(crashes, true), next(crashes, false); got != twin {
+			t.Fatalf("%d crashes: refused request moved the noise stream: next release %+v, twin %+v", crashes, got, twin)
+		}
+	}
+}
+
+// TestSkippedSeqRefused: a sequence number below NextSeq that was
+// never released is refused too; the box only ever noises above its
+// high-water mark.
+func TestSkippedSeqRefused(t *testing.T) {
+	cfg, _ := journalCfg(31)
+	b := boot(t, cfg, 1e6)
+	for _, seq := range []uint64{0, 5} {
+		if _, err := b.NoiseValueSeq(seq, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.NoiseValueSeq(3, 2); !errors.Is(err, ErrSeqExpired) {
+		t.Fatalf("skipped seq 3: err %v, want ErrSeqExpired", err)
+	}
+	if r, err := b.NoiseValueSeq(5, 2); err != nil || !r.Replayed {
+		t.Fatalf("seq 5 retry: %+v, %v; want a replay", r, err)
+	}
+}
+
+// TestReleaseWindowBounded: the box's release state stays at
+// compactReleaseCap entries however long it runs, and holds exactly
+// the newest releases.
+func TestReleaseWindowBounded(t *testing.T) {
+	cfg, _ := journalCfg(37)
+	b := boot(t, cfg, 1e12)
+	const n = 4096
+	vals := make([]int64, n)
+	for seq := uint64(0); seq < n; seq++ {
+		r, err := b.NoiseValueSeq(seq, int64(seq%17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[seq] = r.Value
+		if len(b.window.buf) > compactReleaseCap || cap(b.window.buf) > compactReleaseCap {
+			t.Fatalf("after %d releases the window holds %d (cap %d), bound %d", seq+1, len(b.window.buf), cap(b.window.buf), compactReleaseCap)
+		}
+	}
+	if b.NextSeq() != n {
+		t.Fatalf("NextSeq = %d, want %d", b.NextSeq(), n)
+	}
+	for seq := uint64(0); seq < n; seq++ {
+		rel, ok := b.ReleaseFor(seq)
+		if in := seq >= n-compactReleaseCap; ok != in || (ok && rel.Value != vals[seq]) {
+			t.Fatalf("seq %d: ReleaseFor = %+v, %v; in window %v, released %d", seq, rel, ok, in, vals[seq])
+		}
+	}
+}
+
+// TestReleaseWindowReplayOrder pushes sequence numbers the way Replay
+// may meet them in a journal the box did not write — mostly ascending
+// with gaps, some repeated or lower — and checks the ring against a
+// plain-slice model: a new high seq is appended and evicts the oldest
+// past compactReleaseCap, and a seq below the newest is dropped.
+func TestReleaseWindowReplayOrder(t *testing.T) {
+	rng := uint64(0x5EED)
+	var w releaseWindow
+	var model []SeqRelease
+	next := uint64(0)
+	for i := 0; i < 2000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		seq := next + rng%3
+		if rng%5 == 0 {
+			seq = (rng >> 8) % (next + 1) // at or below the newest
+		}
+		e := SeqRelease{seq, Release{Value: int64(i)}}
+		w.push(e)
+		if seq >= next {
+			model = append(model, e)
+			if len(model) > compactReleaseCap {
+				model = model[1:]
+			}
+			next = seq + 1
+		}
+		got := w.ordered()
+		if len(got) != len(model) || w.next != next {
+			t.Fatalf("step %d: window holds %d entries, next %d; want %d, %d", i, len(got), w.next, len(model), next)
+		}
+		for k := range got {
+			if got[k] != model[k] {
+				t.Fatalf("step %d entry %d: %+v, want %+v", i, k, got[k], model[k])
+			}
+		}
 	}
 }
 

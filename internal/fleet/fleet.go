@@ -173,7 +173,8 @@ func (c Config) Validate() error {
 type NodeResult struct {
 	// Recorded is the collector's distinct (seq, value) map.
 	Recorded map[uint64]int64
-	// Released is the node journal's (seq, release) map.
+	// Released is the first-noising oracle: each seq's journaled release
+	// right after its first noising (seeded from a resumed run's window).
 	Released map[uint64]dpbox.Release
 	// SpendNats is the budget actually consumed.
 	SpendNats float64
@@ -628,7 +629,15 @@ func Run(cfg Config) (Result, error) {
 		}
 		agent := node.NewReportAgent(box, links[i].NodeEnd(), agentCfg)
 
+		nr.Released = make(map[uint64]dpbox.Release, cfg.Reports)
 		start := int(agent.NextSeq())
+		for s := start - 1; s >= 0; s-- {
+			rel, ok := box.ReleaseFor(uint64(s))
+			if !ok {
+				break // older than the recovered window
+			}
+			nr.Released[uint64(s)] = rel
+		}
 		if start > 0 {
 			// The last journaled release may have died un-ACKed;
 			// re-deliver it before new reports. Re-ACKing an already
@@ -645,21 +654,16 @@ func Run(cfg Config) (Result, error) {
 
 		for r := start; r < cfg.Reports; r++ {
 			out, err := agent.Report(ctx, reading(i, r))
-			if err != nil {
-				if ctx.Err() != nil {
-					violate("node %d seq %d: %v", i, r, err)
-					return
-				}
-				if _, ok := box.ReleaseFor(uint64(r)); !ok {
-					// Nothing journaled: the noising itself (not
-					// just delivery) failed.
-					violate("node %d seq %d: %v", i, r, err)
-					return
-				}
-				// Mid-retry abandonment: the (seq, value) binding
-				// is durable; delivery resumes below, possibly on
-				// the post-crash recovered box.
+			rel, ok := box.ReleaseFor(uint64(r))
+			if !ok || err != nil && ctx.Err() != nil {
+				// Nothing journaled (the noising itself failed), or
+				// the deadline passed. Any other error is mid-retry
+				// abandonment: the binding is durable, and delivery
+				// resumes below, possibly on the recovered box.
+				violate("node %d seq %d: %v", i, r, err)
+				return
 			}
+			nr.Released[uint64(r)] = rel
 			if out.Replayed {
 				violate("node %d seq %d: first noising was a replay", i, out.Seq)
 			}
@@ -697,6 +701,9 @@ func Run(cfg Config) (Result, error) {
 				if agent.NextSeq() != uint64(r)+1 {
 					violate("node %d crash %d: NextSeq %d, want %d", i, nr.Crashes, agent.NextSeq(), r+1)
 				}
+				if got, ok := box.ReleaseFor(uint64(r)); !ok || got != rel {
+					violate("node %d crash %d: recovered %+v (held %v), first noising %+v", i, nr.Crashes, got, ok, rel)
+				}
 			}
 
 			for !delivered {
@@ -711,7 +718,6 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 
-		nr.Released = releasesOf(box)
 		nr.SpendNats = budget0 - box.BudgetRemaining()
 
 		// Crash-consistency cross-check: replaying the journal
@@ -845,15 +851,6 @@ func settle(ctx context.Context, clk *clock.Virtual, links []*transport.Link) {
 			l.CollectorEnd().FlushHeld()
 		}
 	}
-}
-
-// releasesOf copies a box's in-memory release cache.
-func releasesOf(b *dpbox.DPBox) map[uint64]dpbox.Release {
-	out := make(map[uint64]dpbox.Release)
-	for s, r := range b.Releases() {
-		out[s] = r
-	}
-	return out
 }
 
 // CheckExactlyOnce verifies invariant 1 on a completed run: per node,

@@ -92,6 +92,38 @@ func TestChaosGrid(t *testing.T) {
 	}
 }
 
+// TestFleetLongRunWithCrashes runs each node well past the 64-entry
+// release window with a crash every four reports, under a chaos link:
+// the first-noising oracle, not the box's bounded window, must carry
+// exactly-once accounting, and the run must still match the lossless
+// same-seed baseline bit-exactly.
+func TestFleetLongRunWithCrashes(t *testing.T) {
+	cfg := Config{Nodes: 4, Reports: 256, CrashEvery: 4, Seed: gridSeed(t)}
+	baseline, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(baseline.Violations) != 0 {
+		t.Fatalf("lossless violations (%d): %v", len(baseline.Violations), baseline.Violations[0])
+	}
+	cfg.Link = fault.LinkProfile{Drop: 0.25, Duplicate: 0.15, Reorder: 0.15, Corrupt: 0.05, MaxDelay: 3}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("chaos violations (%d): %v", len(res.Violations), res.Violations[0])
+	}
+	if diffs := CompareRuns(res, baseline); len(diffs) != 0 {
+		t.Fatalf("diverged from lossless baseline (%d): %v", len(diffs), diffs[0])
+	}
+	for i, nr := range res.Nodes {
+		if nr.Crashes != cfg.Reports/cfg.CrashEvery {
+			t.Fatalf("node %d crashed %d times, want %d", i, nr.Crashes, cfg.Reports/cfg.CrashEvery)
+		}
+	}
+}
+
 // TestFleetScale10k is the sharded datapath's scale point: ten
 // thousand complete nodes — journaled DP-Box, real agent, own lossy
 // link — through one collector, under the race detector, with every
