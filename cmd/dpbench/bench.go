@@ -176,8 +176,8 @@ func noiseBenches() []namedBench {
 
 // fleetBenches measures the fleet datapath: raw sharded-collector
 // ingest at 1k attached nodes (the ISSUE's ≥10×-over-single-processor
-// scale point), and complete end-to-end fleet runs, lossless and
-// under chaos.
+// scale point), and complete end-to-end fleet runs, lossless, under
+// chaos, and on file-backed NVM with node crashes.
 func fleetBenches() []namedBench {
 	return []namedBench{
 		{"CollectorIngest1k", func(b *testing.B) {
@@ -239,6 +239,22 @@ func fleetBenches() []namedBench {
 					Nodes: 256, Reports: 4, Seed: 42,
 					BreakerThreshold: 1 << 20,
 					Link:             fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Violations) != 0 {
+					b.Fatalf("violations: %v", res.Violations)
+				}
+			}
+		}},
+		{"FleetNVM256", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := fleet.Run(fleet.Config{
+					Nodes: 256, Reports: 8, Seed: 42,
+					BreakerThreshold: 1 << 20,
+					CrashEvery:       4,
+					NVMDir:           b.TempDir(),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -21,12 +21,13 @@
 // invariants must hold across the restarts.
 //
 // -nvmdir backs the chaos run's durable state — the collector's
-// checkpoint store and every node's budget journal — with file-based
-// NVM under DIR (implies -durable for the chaos run). Killing the
-// process mid-run and rerunning with the same DIR recovers every
-// ledger and resumes delivery with exactly-once accounting over the
-// union of both processes' reports; a resumed run skips the lossless
-// baseline comparison, since it covers only the residual reports.
+// checkpoint store at DIR/collector and every node's budget journal,
+// all in one file medium at DIR/nodes — with file-based NVM (implies
+// -durable for the chaos run). Killing the process mid-run and
+// rerunning with the same DIR recovers every ledger and resumes
+// delivery with exactly-once accounting over the union of both
+// processes' reports; a resumed run skips the lossless baseline
+// comparison, since it covers only the residual reports.
 //
 // -quick is the CI smoke preset: a small fleet under a filthy link
 // with node crash-recovery every second report and one mid-run
@@ -85,7 +86,7 @@ func run() int {
 	maxDelay := flag.Int("maxdelay", 3, "max reorder holdback in frames")
 	crashEvery := flag.Int("crash-every", 0, "crash-recover each node after every k-th report (0 = never)")
 	durable := flag.Bool("durable", false, "run the collector on a durable checkpoint store")
-	nvmdir := flag.String("nvmdir", "", "back the chaos run's durable state with file-based NVM under this directory; rerunning resumes a killed run")
+	nvmdir := flag.String("nvmdir", "", "back the chaos run's durable state with file-based NVM under this directory (DIR/nodes: every node's budget journal; DIR/collector: the checkpoints); rerunning resumes a killed run")
 	collectorCrash := flag.String("collectorcrash", "", "comma-separated checkpoint word-write counts at which the collector crashes and recovers (implies -durable)")
 	workers := flag.Int("workers", 0, "node worker-pool size (0 = 8x GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "collector ingest shards (0 = the collector default, 8)")

@@ -119,8 +119,8 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 	if cfg.Mult == 0 {
 		cfg.Mult = 2
 	}
-	if !(cfg.Mult > 1) {
-		return nil, fmt.Errorf("budget: loss multiplier %g must exceed 1", cfg.Mult)
+	if !(cfg.Mult > 1) || math.IsInf(cfg.Mult, 1) {
+		return nil, fmt.Errorf("budget: loss multiplier %g must be finite and exceed 1", cfg.Mult)
 	}
 	if cfg.Source == nil {
 		cfg.Source = urng.NewTaus88(1)

@@ -3,6 +3,7 @@ package budget
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"ulpdp/internal/core"
@@ -64,6 +65,24 @@ func TestNewRejectsNonFiniteMultipliers(t *testing.T) {
 	mults[0] = nan
 	if got := c.cfg.Multipliers[0]; got != 1.5 {
 		t.Errorf("caller's slice edit reached the controller: %g", got)
+	}
+}
+
+// TestNewRejectsBadMult pins the loss-multiplier boundary: anything
+// but a finite value above 1 fails at New.
+func TestNewRejectsBadMult(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mult float64
+	}{
+		{"nan", math.NaN()},
+		{"inf", math.Inf(1)},
+		{"one", 1},
+		{"one-minus-ulp", math.Nextafter(1, 0)},
+	} {
+		if _, err := New(par, Config{Budget: 1, Mult: tc.mult, Multipliers: []float64{}}); err == nil || !strings.Contains(err.Error(), "loss multiplier") {
+			t.Errorf("%s: New with Mult %g returned %v, want the loss-multiplier check's error", tc.name, tc.mult, err)
+		}
 	}
 }
 

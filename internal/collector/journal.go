@@ -440,20 +440,20 @@ func NewStore(shards int) *Store {
 }
 
 // OpenStore opens (or creates) a file-backed checkpoint store under
-// dir. When the directory already holds bank files their count wins
+// dir. An existing store keeps the shard count in its medium's header
 // over the shards argument — the store's geometry is part of its
 // durable state, and recovering with a different shard count would
 // strand checkpoints.
 func OpenStore(dir string, shards int) (*Store, error) {
-	shards = clampShards(shards)
-	if n := nvm.CountFileBanks(dir); n >= 2 {
-		shards = n / 2
-	}
-	med, err := nvm.OpenFileMedium(dir, 2*shards)
+	med, err := nvm.OpenFileMedium(dir, 2*clampShards(shards))
 	if err != nil {
 		return nil, err
 	}
-	return newStoreOn(med, nvm.NewPower(), shards), nil
+	if med.Banks()%2 != 0 {
+		med.Close()
+		return nil, fmt.Errorf("collector: %s holds %d banks, not two per shard", dir, med.Banks())
+	}
+	return newStoreOn(med, nvm.NewPower(), med.Banks()/2), nil
 }
 
 // newStoreOn assembles a store over an explicit medium and supply

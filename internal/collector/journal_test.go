@@ -405,3 +405,22 @@ func TestBankElectionPrefersHigherGeneration(t *testing.T) {
 		t.Fatalf("losing bank still holds %d words", got)
 	}
 }
+
+// TestOpenStoreKeepsGeometry: a reopened file-backed store takes its
+// shard count from the medium's header, not from the caller.
+func TestOpenStoreKeepsGeometry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, err = OpenStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Shards() != 4 {
+		t.Fatalf("reopened store has %d shards, want the stored 4", s.Shards())
+	}
+}

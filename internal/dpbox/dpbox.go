@@ -291,8 +291,8 @@ func New(cfg Config) (*DPBox, error) {
 	if cfg.Mult == 0 {
 		cfg.Mult = 2
 	}
-	if cfg.Mult <= 1 {
-		return nil, fmt.Errorf("dpbox: loss multiplier %g must exceed 1", cfg.Mult)
+	if !(cfg.Mult > 1) || math.IsInf(cfg.Mult, 1) {
+		return nil, fmt.Errorf("dpbox: loss multiplier %g must be finite and exceed 1", cfg.Mult)
 	}
 	if cfg.Multipliers == nil {
 		cfg.Multipliers = []float64{1.25, 1.5}

@@ -2,6 +2,7 @@ package dpbox
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ulpdp/internal/core"
@@ -39,9 +40,22 @@ func TestPowerUpPhase(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadMult pins the loss-multiplier boundary: anything
+// but a finite value above 1 fails at New, not at the first noising.
 func TestNewRejectsBadMult(t *testing.T) {
-	if _, err := New(Config{Bu: 12, By: 10, Mult: 0.5}); err == nil {
-		t.Error("mult <= 1 should be rejected")
+	for _, tc := range []struct {
+		name string
+		mult float64
+	}{
+		{"half", 0.5},
+		{"nan", math.NaN()},
+		{"inf", math.Inf(1)},
+		{"one", 1},
+		{"one-minus-ulp", math.Nextafter(1, 0)},
+	} {
+		if _, err := New(Config{Bu: 12, By: 10, Mult: tc.mult, Multipliers: []float64{}}); err == nil || !strings.Contains(err.Error(), "loss multiplier") {
+			t.Errorf("%s: New with Mult %g returned %v, want the loss-multiplier check's error", tc.name, tc.mult, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"ulpdp/internal/core"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/laplace"
+	"ulpdp/internal/nvm"
 )
 
 // constSource is a urng.Source stuck at a single word — the software
@@ -519,5 +520,50 @@ func TestPowerLossDuringNoisingEmitsNothing(t *testing.T) {
 	}
 	if err := b.Command(CmdSetSensorValue, 3); !errors.Is(err, ErrPowerLost) {
 		t.Fatalf("dead box accepted a command: %v", err)
+	}
+}
+
+// TestJournalBanksShareOneFile runs two journals on banks of one file
+// medium: a power cut on one leaves the other writing, Close drops
+// only the closed bank's mirror, and a reopen recovers both ledgers.
+func TestJournalBanksShareOneFile(t *testing.T) {
+	dir := t.TempDir()
+	med, err := nvm.OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := OpenJournalBank(med, 0), OpenJournalBank(med, 1)
+	if !a.appendConfig(100, 0) || !b.appendConfig(200, 0) || !a.appendCharge(16) {
+		t.Fatal("write failed with live power")
+	}
+	a.Kill()
+	if a.appendCharge(16) {
+		t.Fatal("killed journal accepted a charge")
+	}
+	if !b.appendCharge(40) {
+		t.Fatal("a kill on bank 0 cut bank 1's power")
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if med.Len(0) != 0 || b.Writes() == 0 {
+		t.Fatalf("after closing bank 0: bank 0 holds %d words, bank 1 %d", med.Len(0), b.Writes())
+	}
+	b.Close()
+	med.Close()
+
+	med2, err := nvm.OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer med2.Close()
+	for bank, want := range []int64{84, 160} {
+		st, err := OpenJournalBank(med2, bank).Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Units != want {
+			t.Errorf("bank %d recovered %d units, want %d", bank, st.Units, want)
+		}
 	}
 }

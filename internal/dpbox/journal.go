@@ -53,6 +53,10 @@ import (
 // retries against.
 type Journal struct {
 	r *nvm.Region
+	// shared is the file medium the journal holds one bank of, or nil
+	// when the journal owns its whole medium; bank is that bank.
+	shared *nvm.FileMedium
+	bank   int
 }
 
 // budgetLayout is the budget journal's record dialect over the
@@ -85,9 +89,28 @@ func OpenJournal(dir string) (*Journal, error) {
 	return newJournalWith(med, nvm.NewPower()), nil
 }
 
+// OpenJournalBank returns a journal on bank b of a shared file
+// medium, with its own supply cell: one file holds a whole fleet's
+// journals, and killing one journal's power leaves the others live.
+// Close drops only bank b's RAM mirror; the caller closes med.
+func OpenJournalBank(med *nvm.FileMedium, b int) *Journal {
+	return &Journal{
+		r:      nvm.NewRegionBanks(med, nvm.NewPower(), budgetLayout(), b, 1),
+		shared: med,
+		bank:   b,
+	}
+}
+
 // Close releases the journal's medium (file handles; a no-op for the
-// in-memory medium).
-func (j *Journal) Close() error { return j.r.Medium().Close() }
+// in-memory medium). A journal on a shared medium drops its bank's
+// RAM mirror instead and leaves the file open.
+func (j *Journal) Close() error {
+	if j.shared != nil {
+		j.shared.DropBank(j.bank)
+		return nil
+	}
+	return j.r.Medium().Close()
+}
 
 // journal record tags.
 const (
@@ -377,13 +400,15 @@ func (j *Journal) compact(st LedgerState) error {
 
 	j.r.Erase(0)
 	j.r.SetSeq(0)
-	if !j.appendConfig(st.InitialUnits, st.ReplenishEvery) || !j.appendCheckpoint(st.Units) {
-		return errors.New("dpbox: journal compaction failed (NVM dead)")
-	}
+	// The rewrite reaches the medium as one write.
+	j.r.BatchBegin()
+	j.appendConfig(st.InitialUnits, st.ReplenishEvery)
+	j.appendCheckpoint(st.Units)
 	for _, e := range st.Releases {
-		if !j.appendChargeRelease(0, e.Seq, e.Value, e.flags()) {
-			return errors.New("dpbox: journal compaction failed (NVM dead)")
-		}
+		j.appendChargeRelease(0, e.Seq, e.Value, e.flags())
+	}
+	if !j.r.BatchCommit(0) {
+		return errors.New("dpbox: journal compaction failed (NVM dead)")
 	}
 	j.r.NoteCompaction()
 	return nil

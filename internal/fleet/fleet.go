@@ -40,6 +40,7 @@ import (
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/node"
+	"ulpdp/internal/nvm"
 	"ulpdp/internal/obs"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
@@ -85,12 +86,12 @@ type Config struct {
 	Durable bool
 	// NVMDir, when non-empty, backs every durable region with the
 	// file-backed NVM medium under this directory: the collector's
-	// checkpoint store at NVMDir/collector and node i's budget journal
-	// at NVMDir/node-<i>. Implies Durable. A run that finds prior
-	// state there recovers it — budget ledgers, release windows,
-	// collector checkpoints — and each node continues its report loop
-	// where the dead process stopped (Result.Resumed), re-delivering
-	// its last un-ACKed release first.
+	// checkpoint store at NVMDir/collector, and every node's budget
+	// journal in one medium at NVMDir/nodes, node i on bank i. Implies
+	// Durable. A run that finds prior state there recovers it — budget
+	// ledgers, release windows, collector checkpoints — and each node
+	// continues its report loop where the dead process stopped
+	// (Result.Resumed), re-delivering its last un-ACKed release first.
 	NVMDir string
 	// CollectorCrashes schedules store-wide collector crashes: each
 	// ascending entry is a cumulative count of checkpoint words
@@ -436,6 +437,25 @@ func boxConfig(urngSeed uint64, j *dpbox.Journal, m *dpbox.Metrics, ch int) dpbo
 // reading is the deterministic sensor trace: node i's r-th reading.
 func reading(i, r int) int64 { return int64((3*i + 5*r) % 17) }
 
+// openNodeMedium opens the one file medium that holds every node's
+// budget journal, node i on bank i. It refuses a directory written
+// for a different fleet size, or in the retired layout of one
+// NVMDir/node-<i> directory per node.
+func openNodeMedium(dir string, nodes int) (*nvm.FileMedium, error) {
+	if old, _ := filepath.Glob(filepath.Join(dir, "node-[0-9]*")); len(old) > 0 {
+		return nil, fmt.Errorf("fleet: %s holds per-node journal directories such as %s, a layout this version does not read; use a fresh directory", dir, filepath.Base(old[0]))
+	}
+	med, err := nvm.OpenFileMedium(filepath.Join(dir, "nodes"), nodes)
+	if err != nil {
+		return nil, err
+	}
+	if med.Banks() != nodes {
+		med.Close()
+		return nil, fmt.Errorf("fleet: %s holds journals for %d nodes, not %d", dir, med.Banks(), nodes)
+	}
+	return med, nil
+}
+
 // Run validates cfg, executes one fleet run on a fresh virtual clock
 // and gathers the evidence.
 func Run(cfg Config) (Result, error) {
@@ -495,6 +515,15 @@ func Run(cfg Config) (Result, error) {
 			cfg.Burn.Bind(burnM, boxM.Trace)
 			boxM.Odometer.SetBurn(cfg.Burn)
 		}
+	}
+
+	var nodeMed *nvm.FileMedium
+	if cfg.NVMDir != "" {
+		var err error
+		if nodeMed, err = openNodeMedium(cfg.NVMDir, cfg.Nodes); err != nil {
+			return Result{}, err
+		}
+		defer nodeMed.Close()
 	}
 
 	res := Result{Nodes: make([]NodeResult, cfg.Nodes)}
@@ -581,12 +610,8 @@ func Run(cfg Config) (Result, error) {
 			box *dpbox.DPBox
 			err error
 		)
-		if cfg.NVMDir != "" {
-			j, err = dpbox.OpenJournal(filepath.Join(cfg.NVMDir, fmt.Sprintf("node-%04d", i)))
-			if err != nil {
-				violate("node %d: %v", i, err)
-				return
-			}
+		if nodeMed != nil {
+			j = dpbox.OpenJournalBank(nodeMed, i)
 			defer j.Close()
 		} else {
 			j = dpbox.NewJournal()

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ulpdp/internal/fault"
@@ -73,5 +75,37 @@ func TestFleetRestartResumes(t *testing.T) {
 	}
 	if len(third.Violations) != 0 {
 		t.Fatalf("third run violations: %v", third.Violations)
+	}
+}
+
+// TestFleetNVMLayout: one run leaves exactly two media, NVMDir/nodes
+// and NVMDir/collector, and a rerun refuses a directory written for
+// another fleet size or in the per-node-directory layout.
+func TestFleetNVMLayout(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(Config{Nodes: 3, Reports: 2, Seed: 1, NVMDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "collector" || names[1] != "nodes" {
+		t.Fatalf("NVMDir holds %v, want [collector nodes]", names)
+	}
+	if _, err := Run(Config{Nodes: 4, Reports: 2, Seed: 1, NVMDir: dir}); err == nil {
+		t.Error("a 4-node run accepted a 3-node NVMDir")
+	}
+
+	legacy := t.TempDir()
+	if err := os.Mkdir(filepath.Join(legacy, "node-0000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Config{Nodes: 1, Reports: 1, Seed: 1, NVMDir: legacy}); err == nil {
+		t.Error("a run accepted an NVMDir holding node-0000/")
 	}
 }

@@ -16,8 +16,9 @@
 //
 //   - Medium: raw word banks (append/read/erase). MemMedium is the
 //     simulated in-RAM array every test sweeps; FileMedium persists
-//     each bank to a file with write-through durability so a
-//     killed-and-restarted process recovers real state.
+//     all of its banks in one file of bank-tagged frames with
+//     write-through durability so a killed-and-restarted process
+//     recovers real state.
 //   - Power: the shared supply cell. One cell powers every bank of a
 //     region (a crash is one event); writes fail closed once the cell
 //     dies, and a scheduled FailAfterWrites drives the torn-write

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -202,6 +203,64 @@ func TestStagedTxnCutSweep(t *testing.T) {
 	}
 }
 
+// TestBatchCutSweep cuts the power at every word of a batch — two
+// lone records and a transaction, a compaction's shape — and checks
+// that its one medium write leaves exactly the words record-by-record
+// writes would have, reporting success only when all of them landed.
+func TestBatchCutSweep(t *testing.T) {
+	write := func(r *Region) {
+		p := Enc64(9)
+		r.Append(0, 1, p[:])
+		r.Append(0, 3, []uint16{4, 5})
+		pair := r.TxnBegin(1, p[:])
+		r.Append(0, 3, []uint16{6, 7})
+		r.TxnCommit(0, 2, pair)
+	}
+	ref := NewRegion(NewMemMedium(1), NewPower(), testLayout())
+	write(ref)
+	clean := ref.Words(0)
+	for n := 0; n <= len(clean); n++ {
+		pw := NewPower()
+		pw.FailAfterWrites(n)
+		med := &countingMedium{Medium: NewMemMedium(1)}
+		r := NewRegion(med, pw, testLayout())
+		intents, commits := &obs.Counter{}, &obs.Counter{}
+		r.BindCounters(intents, commits)
+		r.BatchBegin()
+		write(r)
+		if r.Len(0) != 0 {
+			t.Fatalf("cut %d: staged words visible before the batch commit", n)
+		}
+		ok := r.BatchCommit(0)
+		got := r.Words(0)
+		if ok != (n == len(clean)) || len(got) != n {
+			t.Fatalf("cut %d: ok %v, %d words durable", n, ok, len(got))
+		}
+		for i := range got {
+			if got[i] != clean[i] {
+				t.Fatalf("cut %d: word %d = %#04x, want %#04x", n, i, got[i], clean[i])
+			}
+		}
+		if n > 0 && med.appends != 1 {
+			t.Fatalf("cut %d: batch reached the medium in %d writes", n, med.appends)
+		}
+		if intents.Value() != 0 || commits.Value() != 0 {
+			t.Fatalf("cut %d: batched transaction bumped telemetry", n)
+		}
+	}
+}
+
+// countingMedium counts Append calls.
+type countingMedium struct {
+	Medium
+	appends int
+}
+
+func (m *countingMedium) Append(b int, ws []uint16) error {
+	m.appends++
+	return m.Medium.Append(b, ws)
+}
+
 func TestStats(t *testing.T) {
 	r := NewRegion(NewMemMedium(2), NewPower(), testLayout())
 	r.Append(0, 2, nil)
@@ -260,14 +319,15 @@ func TestFileMediumSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := CountFileBanks(dir); n != 2 {
-		t.Fatalf("CountFileBanks = %d, want 2", n)
-	}
-	med2, err := OpenFileMedium(dir, 2)
+	// The header's bank count wins over the caller's.
+	med2, err := OpenFileMedium(dir, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer med2.Close()
+	if n := med2.Banks(); n != 2 {
+		t.Fatalf("reopened with %d banks, want the header's 2", n)
+	}
 	if w := med2.Words(0); len(w) != 2 || w[0] != 0xBEEF || w[1] != 0xFFFF {
 		t.Fatalf("bank 0 reopened as %v", w)
 	}
@@ -276,35 +336,222 @@ func TestFileMediumSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestFileMediumTrimsTornWord(t *testing.T) {
+// snapshotBanks deep-copies every bank of med.
+func snapshotBanks(med Medium) [][]uint16 {
+	out := make([][]uint16, med.Banks())
+	for b := range out {
+		out[b] = append([]uint16{}, med.Words(b)...)
+	}
+	return out
+}
+
+func equalBanks(t *testing.T, what string, med Medium, want [][]uint16) {
+	t.Helper()
+	if med.Banks() != len(want) {
+		t.Fatalf("%s: %d banks, want %d", what, med.Banks(), len(want))
+	}
+	for b := range want {
+		got := med.Words(b)
+		if len(got) != len(want[b]) {
+			t.Fatalf("%s: bank %d = %v, want %v", what, b, got, want[b])
+		}
+		for i := range got {
+			if got[i] != want[b][i] {
+				t.Fatalf("%s: bank %d = %v, want %v", what, b, got, want[b])
+			}
+		}
+	}
+}
+
+// TestFileMediumTornFrameSweep writes append and erase frames to
+// several banks, then cuts the file at every byte — every place a
+// kill could tear a write — and reopens the prefix. Each bank must
+// read exactly as it stood after the last complete frame, and an
+// append after the reopen must land right after the trimmed tail and
+// survive another reopen.
+func TestFileMediumTornFrameSweep(t *testing.T) {
+	const banks = 3
 	dir := t.TempDir()
-	med, err := OpenFileMedium(dir, 1)
+	med, err := OpenFileMedium(dir, banks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	med.Append(0, []uint16{0xAAAA})
+	path := filepath.Join(dir, fileName)
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// ends[k] is the file size after op k; states[k] the banks then.
+	ends := []int64{size()}
+	states := [][][]uint16{snapshotBanks(med)}
+	ops := []func() error{
+		func() error { return med.Append(0, []uint16{0x0101, 0x0102}) },
+		func() error { return med.Append(2, []uint16{0x0201}) },
+		func() error { return med.Append(0, []uint16{0x0103, 0x0104, 0x0105}) },
+		func() error { return med.Erase(0) },
+		func() error { return med.Append(1, []uint16{0x0301, 0x0302}) },
+		func() error { return med.Append(0, []uint16{0x0106}) },
+		func() error { return med.Erase(2) },
+		func() error { return med.Append(2, []uint16{0x0202, 0x0203}) },
+	}
+	for _, op := range ops {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, size())
+		states = append(states, snapshotBanks(med))
+	}
 	med.Close()
-	// Simulate a kill between the two bytes of the next word write.
-	f, err := os.OpenFile(filepath.Join(dir, "bank-0000.nvm"), os.O_WRONLY|os.O_APPEND, 0)
+	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{0xBB})
-	f.Close()
-	med2, err := OpenFileMedium(dir, 1)
+
+	for cut := 0; cut <= len(full); cut++ {
+		k := -1 // the last op whose frame is whole in the cut
+		for k+1 < len(ends) && ends[k+1] <= int64(cut) {
+			k++
+		}
+		want, tail := make([][]uint16, banks), int64(headerLen)
+		if k >= 0 {
+			want, tail = states[k], ends[k]
+		}
+		cdir := t.TempDir()
+		cpath := filepath.Join(cdir, fileName)
+		if err := os.WriteFile(cpath, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenFileMedium(cdir, banks)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		what := fmt.Sprintf("cut %d", cut)
+		equalBanks(t, what, m, want)
+		want = snapshotBanks(m)
+		w := uint16(0xA000 + cut)
+		if err := m.Append(1, []uint16{w}); err != nil {
+			t.Fatalf("%s: append after reopen: %v", what, err)
+		}
+		m.Close()
+		fi, err := os.Stat(cpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantSize := tail + frameHdrLen + 2; fi.Size() != wantSize {
+			t.Fatalf("%s: file is %d bytes after one append, want %d", what, fi.Size(), wantSize)
+		}
+		want[1] = append(want[1], w)
+		m, err = OpenFileMedium(cdir, banks)
+		if err != nil {
+			t.Fatalf("%s: second reopen: %v", what, err)
+		}
+		equalBanks(t, what+" after append", m, want)
+		m.Close()
+	}
+}
+
+// TestFileMediumRefusesForeignFiles: the retired one-file-per-bank
+// layout and a file with a bad magic number are errors, not media.
+func TestFileMediumRefusesForeignFiles(t *testing.T) {
+	legacy := t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy, "bank-0000.nvm"), []byte{0xAA, 0xAA}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileMedium(legacy, 1); err == nil {
+		t.Error("opened a directory holding the one-file-per-bank layout")
+	}
+	for _, raw := range [][]byte{
+		{0x01, 0x02, 0x03, 0x04, 0x01, 0x00, 0x00, 0x00},
+		{0x4E, 0x56, 0x00},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fileName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFileMedium(dir, 1); err == nil {
+			t.Errorf("opened a file starting % x", raw)
+		}
+	}
+}
+
+// TestFileMediumFailsClosed: once a frame write fails, no later frame
+// may follow the partial one, so every later write errors even if the
+// file would take it; a reopen reads the state before the failure.
+func TestFileMediumFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	med, err := OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Append(0, []uint16{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	good := med.f
+	ro, err := os.Open(good.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	med.f = ro
+	if err := med.Append(1, []uint16{3}); err == nil {
+		t.Fatal("write through a read-only handle succeeded")
+	}
+	med.f = good
+	ro.Close()
+	if med.Len(1) != 0 {
+		t.Fatalf("failed write reached the mirror: bank 1 = %v", med.Words(1))
+	}
+	if err := med.Append(0, []uint16{4}); err == nil {
+		t.Error("append after a failed write succeeded")
+	}
+	if err := med.Erase(0); err == nil {
+		t.Error("erase after a failed write succeeded")
+	}
+	med.Close()
+	med2, err := OpenFileMedium(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer med2.Close()
-	if w := med2.Words(0); len(w) != 1 || w[0] != 0xAAAA {
-		t.Fatalf("torn word not trimmed: %v", w)
-	}
+	equalBanks(t, "reopened", med2, [][]uint16{{1, 2}, {}})
 }
 
-// TestFileMediumConcurrentBanks appends word runs to distinct banks
-// of one file medium from concurrent goroutines, as the collector's
-// shards do, then reopens it: each bank's encode buffer must be its
-// own (go test -race catches a shared one).
+// TestFileMediumDropBank: a dropped bank frees its mirror and refuses
+// writes; the file keeps its words.
+func TestFileMediumDropBank(t *testing.T) {
+	dir := t.TempDir()
+	med, err := OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	med.Append(0, []uint16{7, 8})
+	med.Append(1, []uint16{9})
+	med.DropBank(0)
+	if med.Len(0) != 0 || med.Words(0) != nil {
+		t.Fatalf("dropped bank still mirrored: %v", med.Words(0))
+	}
+	if med.Append(0, []uint16{1}) == nil || med.Erase(0) == nil {
+		t.Error("dropped bank accepted a write")
+	}
+	if err := med.Append(1, []uint16{10}); err != nil {
+		t.Fatalf("other bank refused after a drop: %v", err)
+	}
+	med.Close()
+	med2, err := OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer med2.Close()
+	equalBanks(t, "reopened", med2, [][]uint16{{7, 8}, {9, 10}})
+}
+
+// TestFileMediumConcurrentBanks appends word runs to, and erases,
+// distinct banks of one file medium from concurrent goroutines, as the
+// collector's shards and a fleet's node journals do, then reopens it:
+// the interleaved frames must replay to each bank's own words (go test
+// -race catches unsynchronized frame writes).
 func TestFileMediumConcurrentBanks(t *testing.T) {
 	const banks, runs = 8, 64
 	dir := t.TempDir()
@@ -319,6 +566,13 @@ func TestFileMediumConcurrentBanks(t *testing.T) {
 		go func(b int) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
+				if i == runs/2 {
+					if err := med.Erase(b); err != nil {
+						t.Error(err)
+						return
+					}
+					want[b] = nil
+				}
 				ws := make([]uint16, 1+(b+i)%19)
 				for k := range ws {
 					ws[k] = uint16(b<<12 | i<<5 | k)

@@ -49,7 +49,8 @@ func Dec64(w []uint16) int64 {
 //
 // Records are encoded into a region-owned stage and reach the medium
 // as one Medium.Append: a lone record at Append, a whole transaction
-// (intent, inner records, commit) at TxnCommit. Staged words are not
+// (intent, inner records, commit) at TxnCommit, a whole batch of
+// records and transactions at BatchCommit. Staged words are not
 // durable and Len/Words do not show them.
 type Region struct {
 	med  Medium
@@ -61,6 +62,7 @@ type Region struct {
 
 	stage     []uint16 // encoded words not yet handed to the medium
 	txn       bool     // a transaction is open: Append only stages
+	batch     bool     // a batch is open: Append and TxnCommit only stage
 	intentEnd int      // stage length after the open transaction's intent
 
 	compactions atomic.Uint64
@@ -149,9 +151,28 @@ func (r *Region) flush(b int) int {
 // staged (true) and becomes durable with TxnCommit.
 func (r *Region) Append(b int, tag uint16, payload []uint16) bool {
 	r.stageRecord(tag, payload)
-	if r.txn {
+	if r.txn || r.batch {
 		return true
 	}
+	want := len(r.stage)
+	return r.flush(b) == want
+}
+
+// BatchBegin opens a batch: every record and transaction until
+// BatchCommit is only staged (each reports success), and reaches the
+// medium with the batch as one write. A rewrite of many records — a
+// recovery-time compaction — then costs one medium write, with power
+// permits still granted word by word, so a cut leaves exactly the
+// words record-by-record writes would have. Transactions committed
+// inside a batch do not bump the telemetry counters.
+func (r *Region) BatchBegin() { r.batch = true }
+
+// BatchCommit hands the open batch to bank b as one medium write and
+// reports whether every staged word became durable. After a torn
+// batch the record sequence is unspecified; the region is dead, and a
+// caller that revives it restarts the sequence with SetSeq.
+func (r *Region) BatchCommit(b int) bool {
+	r.batch = false
 	want := len(r.stage)
 	return r.flush(b) == want
 }
@@ -180,6 +201,9 @@ func (r *Region) TxnCommit(b int, tag uint16, pair uint16) bool {
 	r.txn = false
 	r.seq = pair
 	r.stageRecord(tag, nil)
+	if r.batch {
+		return true
+	}
 	ws := r.stage
 	n := r.flush(b)
 	if n >= r.intentEnd && r.intents != nil {
