@@ -107,3 +107,30 @@ func BenchmarkCollectorIngestDurable(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardIdleTick measures one idle tick of a shard whose 4096
+// attached nodes are all silent, under a breaker threshold the run
+// never reaches. The tick settles silence lazily, so it must not
+// scale with the node count, and it must allocate nothing.
+func BenchmarkShardIdleTick(b *testing.B) {
+	const nodes = 4096
+	col := New(Config{Shards: 1, PollTimeout: time.Hour, BreakerThreshold: 1 << 20})
+	// Stop the reactor so the benchmark alone drives the shard.
+	col.Close()
+	for i := 0; i < nodes; i++ {
+		link := transport.NewLink(transport.LinkConfig{})
+		if err := col.Attach(transport.NodeID(i), link.CollectorEnd()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sh := col.shards[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh.idleTick()
+	}
+	b.StopTimer()
+	if got, want := col.Stats().Timeouts, uint64(b.N)*nodes; got != want {
+		b.Fatalf("Timeouts = %d after %d ticks of %d silent nodes, want %d", got, b.N, nodes, want)
+	}
+}

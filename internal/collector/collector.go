@@ -38,6 +38,14 @@
 // breaker is open — or a node reports its privacy budget exhausted —
 // queries for that node serve the last-ACKed cached value, marked
 // degraded, instead of failing.
+//
+// Silence is settled lazily. A shard counts its idle ticks, and each
+// node remembers the tick from which its silence counts; the silent
+// ticks in between are applied in closed form when the node's next
+// frame arrives, before a snapshot, or when a min-heap of due ticks
+// says silence is about to trip or half-open the breaker. An idle
+// tick therefore costs O(1) plus the nodes whose state it changes,
+// not O(nodes).
 package collector
 
 import (
@@ -126,7 +134,8 @@ type Stats struct {
 	// BreakerDrops counts reports discarded by an open breaker.
 	BreakerDrops uint64
 	// Timeouts counts per-node idle ticks (a node delivering nothing
-	// for one PollTimeout period).
+	// for one PollTimeout period). Each tick adds its silent nodes in
+	// one step: attached nodes minus those heard since the last tick.
 	Timeouts uint64
 	// FailClosed counts reports dropped unACKed because the shard's
 	// checkpoint journal lost power: with no way to make an admission
@@ -223,20 +232,30 @@ type nodeState struct {
 	// notify hook when frames land (pushing the node ID onto the
 	// shard's ready queue exactly once), cleared by the reactor just
 	// before draining, so a node sits in the ready queue at most once
-	// no matter how many frames arrive.
+	// no matter how many frames arrive. holding is set while the node
+	// sits on the shard's holdback list (the link's held hook fired
+	// and no idle tick has flushed it yet).
 	pending atomic.Bool
+	holding atomic.Bool
 
 	store valueStore // dedup + distinct recorded values
 
-	haveAck   bool
 	lastSeq   uint64 // highest ACKed seq
 	lastValue int64  // its value — the graceful-degradation cache
-	exhausted bool   // latest report carried FlagFromCache
+	haveAck   bool
+	exhausted bool // latest report carried FlagFromCache
 
+	// Breaker state. consecFail and openLeft lag by the silent ticks
+	// from quietFrom through the shard's current tick; settle applies
+	// them. quietFrom is one past the current tick while the node has
+	// not been heard since the last tick, two past once it has. armed
+	// is the due tick of the node's live entry in the shard's due heap
+	// (0 = none).
 	breaker    BreakerState
 	consecFail int
 	openLeft   int
-	sawReport  bool // any frame since the last idle tick
+	quietFrom  uint64
+	armed      uint64
 }
 
 // NodeView is a query snapshot for one node.
@@ -300,6 +319,21 @@ type shard struct {
 	// steady-state per-report path allocates nothing.
 	spare []transport.NodeID
 	acks  []ackOut
+
+	// The lazy breaker clock, under mu: tick counts idle ticks run,
+	// attached counts nodes with a link, heard counts distinct nodes
+	// heard since the last tick, and due orders nodes by the tick at
+	// which silence next changes their breaker state.
+	tick     uint64
+	attached int
+	heard    int
+	due      dueHeap
+
+	// holding lists the nodes whose links announced a reorder
+	// holdback (each at most once, via nodeState.holding); the idle
+	// tick flushes the silent ones.
+	holdMu  sync.Mutex
+	holding []*nodeState
 
 	// j is the shard's durable checkpoint journal (nil = volatile
 	// collector). dead latches once a journal write fails: the shard
@@ -495,11 +529,20 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 		sh.nodes[id] = ns
 	}
 	ns.end = end
+	sh.attached++
+	ns.quietFrom = sh.tick + 1 // the next tick is silent unless it hears a frame
+	sh.arm(id, ns)
 	sh.mu.Unlock()
 
 	end.SetNotify(func() {
 		if ns.pending.CompareAndSwap(false, true) {
 			sh.push(id)
+		}
+	}, func() {
+		if ns.holding.CompareAndSwap(false, true) {
+			sh.holdMu.Lock()
+			sh.holding = append(sh.holding, ns)
+			sh.holdMu.Unlock()
 		}
 	})
 	// Frames may have landed before the hook existed; arm and enqueue
@@ -651,48 +694,12 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 		}
 		return
 	}
-	ns.sawReport = true
-	unhealthy := pkt.Flags&transport.FlagUnhealthy != 0
-	switch ns.breaker {
-	case BreakerOpen:
-		// Cooling off: traffic is discarded unACKed; the node's
-		// retries will land once the breaker half-opens.
+	if !sh.breakerPassLocked(id, ns, pkt.Flags&transport.FlagUnhealthy != 0) {
 		sh.stats.BreakerDrops++
 		if m != nil {
 			m.BreakerDrops.Inc()
 		}
 		return
-	case BreakerHalfOpen:
-		if unhealthy {
-			// Probe failed: back to open for another cooldown.
-			ns.breaker = BreakerOpen
-			ns.openLeft = openTicks
-			sh.stats.BreakerDrops++
-			if m != nil {
-				m.BreakerDrops.Inc()
-				m.transition(int64(id), BreakerHalfOpen, BreakerOpen)
-			}
-			return
-		}
-		ns.breaker = BreakerClosed
-		ns.consecFail = 0
-		m.transition(int64(id), BreakerHalfOpen, BreakerClosed)
-	case BreakerClosed:
-		if unhealthy {
-			ns.consecFail++
-			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
-				ns.breaker = BreakerOpen
-				ns.openLeft = openTicks
-				sh.stats.BreakerDrops++
-				if m != nil {
-					m.BreakerDrops.Inc()
-					m.transition(int64(id), BreakerClosed, BreakerOpen)
-				}
-				return
-			}
-		} else {
-			ns.consecFail = 0
-		}
 	}
 
 	if ns.store.has(pkt.Seq) {
@@ -753,6 +760,129 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 	})
 }
 
+// breakerPassLocked marks the node heard for the coming tick and runs
+// one report through its breaker, reporting whether the report passes
+// on to dedup. Callers hold sh.mu.
+func (sh *shard) breakerPassLocked(id transport.NodeID, ns *nodeState, unhealthy bool) bool {
+	m := sh.c.cfg.Obs
+	sh.settle(id, ns)
+	if ns.quietFrom <= sh.tick+1 {
+		sh.heard++
+		ns.quietFrom = sh.tick + 2
+	}
+	pass := true
+	switch ns.breaker {
+	case BreakerOpen:
+		// Cooling off: traffic is discarded unACKed; the node's
+		// retries will land once the breaker half-opens.
+		pass = false
+	case BreakerHalfOpen:
+		if unhealthy {
+			// Probe failed: back to open for another cooldown.
+			ns.breaker = BreakerOpen
+			ns.openLeft = openTicks
+			pass = false
+			m.transition(int64(id), BreakerHalfOpen, BreakerOpen)
+		} else {
+			ns.breaker = BreakerClosed
+			ns.consecFail = 0
+			m.transition(int64(id), BreakerHalfOpen, BreakerClosed)
+		}
+	case BreakerClosed:
+		if !unhealthy {
+			ns.consecFail = 0
+			break
+		}
+		ns.consecFail++
+		if ns.consecFail >= sh.c.cfg.BreakerThreshold {
+			ns.breaker = BreakerOpen
+			ns.openLeft = openTicks
+			pass = false
+			m.transition(int64(id), BreakerClosed, BreakerOpen)
+		}
+	}
+	sh.arm(id, ns)
+	return pass
+}
+
+// settle applies the node's silent ticks, quietFrom through sh.tick,
+// to its breaker, firing each transition as it falls due — which the
+// due heap makes the tick itself. Callers hold sh.mu.
+func (sh *shard) settle(id transport.NodeID, ns *nodeState) {
+	if ns.end == nil || ns.quietFrom > sh.tick {
+		return // no link to tick, or heard since the last tick
+	}
+	k := sh.tick + 1 - ns.quietFrom
+	ns.quietFrom = sh.tick + 1
+	for k > 0 {
+		from := ns.breaker
+		if k = ns.silence(k, sh.c.cfg.BreakerThreshold); ns.breaker == from {
+			return
+		}
+		sh.c.cfg.Obs.transition(int64(id), from, ns.breaker)
+	}
+}
+
+// silence applies up to k silent ticks to the breaker in closed form,
+// stopping at the first transition, and returns the ticks left over:
+// a closed breaker counts them as failures and trips at the
+// threshold, an open one counts its cooldown down and half-opens, a
+// half-open one waits for its probe.
+func (ns *nodeState) silence(k uint64, threshold int) uint64 {
+	switch ns.breaker {
+	case BreakerClosed:
+		need := uint64(max(threshold-ns.consecFail, 1))
+		if k < need {
+			ns.consecFail += int(k)
+			return 0
+		}
+		ns.consecFail += int(need)
+		ns.breaker, ns.openLeft = BreakerOpen, openTicks
+		return k - need
+	case BreakerOpen:
+		need := uint64(max(ns.openLeft, 1))
+		if k < need {
+			ns.openLeft -= int(k)
+			return 0
+		}
+		ns.openLeft -= int(need)
+		ns.breaker = BreakerHalfOpen
+		return k - need
+	}
+	return 0
+}
+
+// dueTick returns the tick at which silence next changes the node's
+// breaker state, or 0 when it never does (half-open, or no link). It
+// holds whether or not the node is settled, as long as no transition
+// is overdue.
+func (sh *shard) dueTick(ns *nodeState) uint64 {
+	if ns.end == nil {
+		return 0
+	}
+	switch ns.breaker {
+	case BreakerClosed:
+		return ns.quietFrom + uint64(max(sh.c.cfg.BreakerThreshold-ns.consecFail, 1)) - 1
+	case BreakerOpen:
+		return ns.quietFrom + uint64(max(ns.openLeft, 1)) - 1
+	}
+	return 0
+}
+
+// arm makes sure the due heap holds an entry for the node no later
+// than its due tick. An entry already armed earlier is left alone: it
+// pops, finds the node not yet due, and re-arms. Frames mostly push
+// a node's due tick later, so a frame rarely pushes anything.
+// Callers hold sh.mu.
+func (sh *shard) arm(id transport.NodeID, ns *nodeState) {
+	d := sh.dueTick(ns)
+	if d == 0 || (ns.armed != 0 && ns.armed <= d) {
+		return
+	}
+	ns.armed = d
+	sh.due.push(dueEntry{tick: d, id: id})
+}
+
 // compactLocked rewrites the shard's checkpoint as a fresh snapshot
 // of every node's dedup store, last-ACK cache, and breaker state,
 // double-banked so a crash mid-compaction loses nothing. A compaction
@@ -762,6 +892,7 @@ func (sh *shard) compactLocked() {
 	nodes := make(map[uint16]*snapNode, len(sh.nodes))
 	stores := make(map[uint16]*valueStore, len(sh.nodes))
 	for id, ns := range sh.nodes {
+		sh.settle(id, ns)
 		nodes[uint16(id)] = &snapNode{
 			breaker:    ns.breaker,
 			consecFail: ns.consecFail,
@@ -784,47 +915,94 @@ func (sh *shard) compactLocked() {
 	}
 }
 
-// idleTick feeds one silent tick into the breaker of every node that
-// delivered nothing since the last tick. Only this shard's nodes are
-// walked, under this shard's lock — idle nodes generate zero
-// cross-shard lock traffic. It also flushes reorder holdbacks on
-// silent links (the old per-node Recv deadline did this), so a
-// delayed frame on a drained direction is late, never lost.
+// idleTick advances the shard's breaker clock by one tick: every
+// attached node not heard since the last tick is one timeout, counted
+// in one step, and silence is settled only on the nodes whose breaker
+// it trips or half-opens now. It also flushes reorder holdbacks on the
+// silent links that announced one (the old per-node Recv deadline did
+// this), so a delayed frame on a drained direction is late, never
+// lost. Nothing here walks the shard's nodes: the cost is O(1) plus
+// the due nodes and the listed holdback links.
 func (sh *shard) idleTick() {
 	m := sh.c.cfg.Obs
 	sh.mu.Lock()
-	for id, ns := range sh.nodes {
-		if ns.end == nil {
-			continue // recovered, not yet re-attached: no link to tick
+	sh.tick++
+	silent := uint64(sh.attached - sh.heard)
+	sh.heard = 0
+	sh.stats.Timeouts += silent
+	if m != nil && silent > 0 {
+		m.Timeouts.Add(silent)
+	}
+	for len(sh.due) > 0 && sh.due[0].tick <= sh.tick {
+		e := sh.due.pop()
+		ns := sh.nodes[e.id]
+		if ns.armed != e.tick {
+			continue // superseded by an earlier entry
 		}
-		if ns.sawReport {
-			ns.sawReport = false
+		ns.armed = 0
+		sh.settle(e.id, ns)
+		sh.arm(e.id, ns)
+	}
+	sh.holdMu.Lock()
+	kept := sh.holding[:0]
+	for _, ns := range sh.holding {
+		if ns.quietFrom > sh.tick {
+			kept = append(kept, ns) // heard this tick: not silent yet
 			continue
 		}
+		ns.holding.Store(false)
 		ns.end.FlushHeld()
-		sh.stats.Timeouts++
-		if m != nil {
-			m.Timeouts.Inc()
-		}
-		switch ns.breaker {
-		case BreakerClosed:
-			ns.consecFail++
-			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
-				ns.breaker = BreakerOpen
-				ns.openLeft = openTicks
-				m.transition(int64(id), BreakerClosed, BreakerOpen)
-			}
-		case BreakerOpen:
-			ns.openLeft--
-			if ns.openLeft <= 0 {
-				ns.breaker = BreakerHalfOpen
-				m.transition(int64(id), BreakerOpen, BreakerHalfOpen)
-			}
-		case BreakerHalfOpen:
-			// Still silent; keep waiting for the probe.
-		}
 	}
+	clear(sh.holding[len(kept):])
+	sh.holding = kept
+	sh.holdMu.Unlock()
 	sh.mu.Unlock()
+}
+
+// dueEntry asks the idle tick to look at node id at tick.
+type dueEntry struct {
+	tick uint64
+	id   transport.NodeID
+}
+
+// dueHeap is a binary min-heap of dueEntry by tick.
+type dueHeap []dueEntry
+
+func (h *dueHeap) push(e dueEntry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].tick <= q[i].tick {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+}
+
+func (h *dueHeap) pop() dueEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].tick < q[c].tick {
+			c++
+		}
+		if q[i].tick <= q[c].tick {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // Stats returns a snapshot of the collector counters, summed across

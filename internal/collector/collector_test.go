@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ulpdp/internal/dpbox"
+	"ulpdp/internal/fault"
 	"ulpdp/internal/node"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
@@ -360,5 +361,56 @@ func TestExhaustedBudgetServedFromCache(t *testing.T) {
 	}
 	if agg := col.Aggregate(); agg.Degraded != 1 {
 		t.Fatalf("aggregate degraded count: %+v", agg)
+	}
+}
+
+// TestIdleTickFlushesAnnouncedHoldback holds a report back on a link
+// and checks the holdback is flushed by the first idle tick at which
+// the link is silent, not earlier: the link announced the holdback,
+// and a tick in which the node was heard leaves it held.
+func TestIdleTickFlushesAnnouncedHoldback(t *testing.T) {
+	col := New(Config{Shards: 1, PollTimeout: time.Hour})
+	// Stop the reactor: the test drains and ticks the shard itself.
+	col.Close()
+	sh := col.shards[0]
+	fp := fault.NewPlane()
+	fp.SetPacketFault(func(n uint64, dir uint8, payload []byte) fault.PacketFate {
+		if dir == fault.DirUp && n == 0 {
+			return fault.PacketFate{Delay: 5}
+		}
+		return fault.PacketFate{}
+	})
+	link := transport.NewLink(transport.LinkConfig{Plane: fp})
+	if err := col.Attach(1, link.CollectorEnd()); err != nil {
+		t.Fatal(err)
+	}
+	end := link.NodeEnd()
+	report := func(seq uint64) {
+		end.Send(transport.Packet{Kind: transport.KindReport, Node: 1, Seq: seq, Value: int64(seq)})
+	}
+	drained := func() uint64 {
+		for sh.drain() {
+		}
+		return col.Stats().Accepted
+	}
+
+	report(0) // held back
+	if got := drained(); got != 0 || len(sh.holding) != 1 {
+		t.Fatalf("held report: %d accepted, %d links listed; want 0 and 1", got, len(sh.holding))
+	}
+	report(1) // overtakes it, so the node is heard before the next tick
+	if got := drained(); got != 1 {
+		t.Fatalf("%d accepted, want 1", got)
+	}
+	col.tickAll()
+	if got := drained(); got != 1 || link.CollectorEnd().Pending() != 1 {
+		t.Fatalf("tick after a report: %d accepted, %d pending; want the holdback kept", got, link.CollectorEnd().Pending())
+	}
+	col.tickAll()
+	if got := drained(); got != 2 || len(sh.holding) != 0 {
+		t.Fatalf("silent tick: %d accepted, %d links listed; want the holdback flushed", got, len(sh.holding))
+	}
+	if v := col.Values(1); v[0] != 0 || len(v) != 2 {
+		t.Fatalf("values %v", v)
 	}
 }

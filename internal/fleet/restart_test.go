@@ -109,3 +109,43 @@ func TestFleetNVMLayout(t *testing.T) {
 		t.Error("a run accepted an NVMDir holding node-0000/")
 	}
 }
+
+// TestFleetResumePastWindow resumes a run whose nodes each released
+// more than the DP-Box's 64-entry window. The first-noising record of
+// the resumed run can only be seeded from the recovered window, so the
+// exactly-once check covers releases from the window's oldest seq on,
+// while still requiring every one of the Reports distinct values.
+func TestFleetResumePastWindow(t *testing.T) {
+	dir := t.TempDir()
+	first, err := Run(Config{Nodes: 2, Reports: 100, Seed: 3, NVMDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Violations) != 0 {
+		t.Fatalf("first run violations: %v", first.Violations)
+	}
+	cfg := Config{Nodes: 2, Reports: 120, Seed: 3, NVMDir: dir}
+	second, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Resumed || len(second.Violations) != 0 {
+		t.Fatalf("resumed run: Resumed=%v, violations %v", second.Resumed, second.Violations)
+	}
+	for i, nr := range second.Nodes {
+		if nr.OracleFrom == 0 || nr.OracleFrom > 100-1 {
+			t.Fatalf("node %d: oracle covers seqs from %d, want a window that starts past 0 and holds seq 99", i, nr.OracleFrom)
+		}
+		for seq, v := range first.Nodes[i].Recorded {
+			if got, ok := nr.Recorded[seq]; !ok || got != v {
+				t.Fatalf("node %d seq %d: resumed collector holds %d (ok=%v), first run recorded %d", i, seq, got, ok, v)
+			}
+		}
+	}
+
+	// The relaxed range must not excuse a missing value.
+	delete(second.Nodes[0].Recorded, 0)
+	if v := CheckExactlyOnce(cfg, second); len(v) == 0 {
+		t.Fatal("a resumed run missing seq 0 passed the exactly-once check")
+	}
+}

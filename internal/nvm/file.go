@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,8 +22,13 @@ import (
 // All integers are little-endian. Every Append or Erase is one frame
 // in one positional write at the tail, so a killed process can tear
 // at most the final frame.
+//
+// Open reclaims space: a file more than twice its live size (the
+// header plus one frame per non-empty bank) is rewritten as exactly
+// that, into tmpName, which is then renamed over fileName.
 const (
 	fileName           = "medium.nvm"
+	tmpName            = fileName + ".tmp"
 	fileMagic   uint32 = 0x314D564E // "NVM1"
 	headerLen          = 8
 	frameHdrLen        = 8
@@ -50,8 +56,9 @@ const (
 // that fails short fails the medium closed: no later frame may follow
 // a partial one, so every later Append and Erase errors.
 //
-// Erased words are not reclaimed: the file grows by every frame, and
-// only the per-bank RAM mirrors shrink.
+// Erased and superseded frames stay in the file until the next open,
+// which rewrites the file from the mirrors once it is more than twice
+// its live size (see reclaim).
 type FileMedium struct {
 	f *os.File
 	// mirror is each bank's in-RAM copy for zero-copy reads. Each
@@ -79,6 +86,11 @@ func OpenFileMedium(dir string, banks int) (*FileMedium, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("nvm: open file medium: %w", err)
 	}
+	// A temporary file is a reclaim killed before its rename; the
+	// medium it was copying is still whole.
+	if err := os.Remove(filepath.Join(dir, tmpName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("nvm: open file medium: %w", err)
+	}
 	f, err := os.OpenFile(filepath.Join(dir, fileName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("nvm: open file medium: %w", err)
@@ -88,7 +100,61 @@ func OpenFileMedium(dir string, banks int) (*FileMedium, error) {
 		f.Close()
 		return nil, fmt.Errorf("nvm: open %s: %w", f.Name(), err)
 	}
+	if err := m.reclaim(dir); err != nil {
+		m.f.Close()
+		return nil, fmt.Errorf("nvm: reclaim %s: %w", filepath.Join(dir, fileName), err)
+	}
 	return m, nil
+}
+
+// reclaim rewrites the file as its live image (the header plus one
+// frame per non-empty bank) when the file is more than twice that
+// size. The image goes to tmpName and is synced before it is renamed
+// over the medium, so a kill at any byte of the rewrite leaves the
+// old file whole; the next open removes the stale temporary.
+func (m *FileMedium) reclaim(dir string) error {
+	live := int64(headerLen)
+	for _, ws := range m.mirror {
+		if len(ws) > 0 {
+			live += frameHdrLen + 2*int64(len(ws))
+		}
+	}
+	if m.tail <= 2*live {
+		return nil
+	}
+	img := make([]byte, 0, live)
+	img = binary.LittleEndian.AppendUint32(img, fileMagic)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(m.mirror)))
+	for b, ws := range m.mirror {
+		if len(ws) == 0 {
+			continue
+		}
+		img = binary.LittleEndian.AppendUint32(img, uint32(b))
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(ws)))
+		for _, w := range ws {
+			img = binary.LittleEndian.AppendUint16(img, w)
+		}
+	}
+	tmp := filepath.Join(dir, tmpName)
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(img)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, fileName))
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	m.f.Close()
+	m.f, m.tail = f, int64(len(img))
+	return nil
 }
 
 // load reads the header (writing one for a new file) and replays

@@ -363,6 +363,158 @@ func equalBanks(t *testing.T, what string, med Medium, want [][]uint16) {
 	}
 }
 
+// liveSize is the size of a file medium holding banks after a
+// reclaim: the header plus one frame per non-empty bank.
+func liveSize(banks [][]uint16) int64 {
+	n := int64(headerLen)
+	for _, ws := range banks {
+		if len(ws) > 0 {
+			n += frameHdrLen + 2*int64(len(ws))
+		}
+	}
+	return n
+}
+
+// fileSize stats a file.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// churn appends to and erases the banks of med so that most of the
+// frames it writes are superseded by later ones.
+func churn(t *testing.T, med Medium, round int) {
+	t.Helper()
+	for k := 0; k < 6; k++ {
+		for b := 0; b < med.Banks(); b++ {
+			if err := med.Erase(b); err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w <= (b+k+round)%4; w++ {
+				if err := med.Append(b, []uint16{uint16(round<<8 | k<<4 | w)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestFileMediumReclaimKeepsBanks churns a file medium until most of
+// its file is superseded frames, then reopens it: the open must
+// rewrite the file to exactly its live size, with every bank reading
+// as before, and the reclaimed file must take appends and reopen.
+func TestFileMediumReclaimKeepsBanks(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, fileName)
+	med, err := OpenFileMedium(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, med, 0)
+	want := snapshotBanks(med)
+	med.Close()
+	if size := fileSize(t, path); size <= 2*liveSize(want) {
+		t.Fatalf("churn left %d bytes for %d live: nothing to reclaim", size, liveSize(want))
+	}
+
+	med, err = OpenFileMedium(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalBanks(t, "reclaimed", med, want)
+	if size := fileSize(t, path); size != liveSize(want) {
+		t.Fatalf("reclaimed file is %d bytes, want %d", size, liveSize(want))
+	}
+	if err := med.Append(1, []uint16{0xBEEF}); err != nil {
+		t.Fatal(err)
+	}
+	want[1] = append(want[1], 0xBEEF)
+	med.Close()
+	med, err = OpenFileMedium(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalBanks(t, "append after reclaim", med, want)
+	med.Close()
+}
+
+// TestFileMediumReclaimBoundsSize runs erase/append/reopen cycles and
+// checks that the file never ends a reopen above twice its live size,
+// so it stays bounded however many cycles run.
+func TestFileMediumReclaimBoundsSize(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, fileName)
+	for round := 0; round < 30; round++ {
+		med, err := OpenFileMedium(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size, live := fileSize(t, path), liveSize(snapshotBanks(med)); size > 2*live {
+			t.Fatalf("round %d: reopened file is %d bytes for %d live", round, size, live)
+		}
+		churn(t, med, round)
+		med.Close()
+	}
+}
+
+// TestFileMediumReclaimKillSweep kills a reclaim at every byte of its
+// temporary file, and just before its rename: the original medium
+// must be intact, the next open must remove the stale temporary, and
+// the banks must read as before the reclaim.
+func TestFileMediumReclaimKillSweep(t *testing.T) {
+	src := t.TempDir()
+	med, err := OpenFileMedium(src, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, med, 1)
+	want := snapshotBanks(med)
+	med.Close()
+	orig, err := os.ReadFile(filepath.Join(src, fileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The image a completed reclaim writes.
+	med, err = OpenFileMedium(src, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	med.Close()
+	img, err := os.ReadFile(filepath.Join(src, fileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img) >= len(orig) {
+		t.Fatalf("reclaim wrote %d bytes over %d: nothing was reclaimed", len(img), len(orig))
+	}
+
+	for cut := 0; cut <= len(img); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fileName), orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, tmpName), img[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenFileMedium(dir, 3)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		equalBanks(t, fmt.Sprintf("cut %d", cut), m, want)
+		m.Close()
+		if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
+			t.Fatalf("cut %d: stale temporary survived the open (%v)", cut, err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, fileName)); err != nil || string(got) != string(img) {
+			t.Fatalf("cut %d: medium after the open is not the reclaimed image (err %v)", cut, err)
+		}
+	}
+}
+
 // TestFileMediumTornFrameSweep writes append and erase frames to
 // several banks, then cuts the file at every byte — every place a
 // kill could tear a write — and reopens the prefix. Each bank must
@@ -430,6 +582,9 @@ func TestFileMediumTornFrameSweep(t *testing.T) {
 		}
 		what := fmt.Sprintf("cut %d", cut)
 		equalBanks(t, what, m, want)
+		if live := liveSize(want); tail > 2*live {
+			tail = live // the open reclaimed the file
+		}
 		want = snapshotBanks(m)
 		w := uint16(0xA000 + cut)
 		if err := m.Append(1, []uint16{w}); err != nil {

@@ -214,9 +214,11 @@ type pipe struct {
 	bell    clock.Bell   // doorbell for those waiters
 
 	// notify, when set, is fired (outside mu) after one or more frames
-	// land in the ring: the receiving end's readiness hook. See
+	// land in the ring: the receiving end's readiness hook. onHold is
+	// fired (outside mu) when held turns nonempty. See
 	// Endpoint.SetNotify.
 	notify func()
+	onHold func()
 }
 
 // popLocked removes and returns the oldest queued frame (nil when
@@ -305,22 +307,28 @@ func (l *Link) CollectorEnd() *Endpoint {
 	return &Endpoint{link: l, sendPipe: l.down, recvPipe: l.up, sendDir: fault.DirDown}
 }
 
-// SetNotify installs a readiness hook on this end's receive
-// direction: fn fires after one or more frames land in the receive
-// queue (at most once per Send or flush, however many frames it
-// delivered). The collector's reactor uses this to replace per-node
-// busy-polling — it only touches links that announced pending frames.
+// SetNotify installs the two hooks of this end's receive direction.
+// ready fires after one or more frames land in the receive queue (at
+// most once per Send or flush, however many frames it delivered). The
+// collector's reactor uses it to replace per-node busy-polling — it
+// only touches links that announced pending frames. held fires when a
+// reorder holdback appears on a direction that had none, and once
+// from SetNotify itself if holdbacks are already waiting, so the
+// receiver knows which silent links need a FlushHeld.
 //
-// fn runs on the *sender's* goroutine (or whichever goroutine flushed
-// holdbacks) and must be non-blocking and must not call back into
-// this endpoint; the canonical implementation sets an atomic "armed"
-// bit and does a non-blocking channel send. Passing nil removes the
-// hook.
-func (e *Endpoint) SetNotify(fn func()) {
+// Both run on the *sender's* goroutine (or whichever goroutine flushed
+// holdbacks or called SetNotify) and must be non-blocking and must not
+// call back into this endpoint; the canonical implementation sets an
+// atomic "armed" bit and appends to a queue. A nil hook is not fired.
+func (e *Endpoint) SetNotify(ready, held func()) {
 	p := e.recvPipe
 	p.mu.Lock()
-	p.notify = fn
+	p.notify, p.onHold = ready, held
+	waiting := len(p.held) > 0
 	p.mu.Unlock()
+	if waiting && held != nil {
+		held()
+	}
 }
 
 // Send offers one packet to the air. It never blocks and reports
@@ -367,7 +375,11 @@ func (e *Endpoint) Send(p Packet) {
 		return
 	}
 	selfLanded := 0
+	var holdFn func()
 	if fate.Delay > 0 {
+		if len(p2.held) == 0 {
+			holdFn = p2.onHold
+		}
 		p2.held = append(p2.held, held{frame: buf, remaining: fate.Delay})
 		l.stats.reordered.Add(1)
 		if m := l.obs; m != nil {
@@ -401,6 +413,9 @@ func (e *Endpoint) Send(p Packet) {
 	p2.mu.Unlock()
 	if landed > 0 && fn != nil {
 		fn()
+	}
+	if holdFn != nil {
+		holdFn()
 	}
 }
 
@@ -472,8 +487,9 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 // immediately: the direction has drained, so "wait for later frames"
 // can no longer complete and the delayed frames simply arrive late.
 // Recv does this implicitly at its deadline; event-driven receivers
-// (which never block in Recv) call it from their idle tick so a
-// reorder holdback on a now-silent link is late, never lost.
+// (which never block in Recv) call it from their idle tick on the
+// silent links whose held hook fired, so a reorder holdback on a
+// now-silent link is late, never lost.
 func (e *Endpoint) FlushHeld() { e.flushHeld() }
 
 func (e *Endpoint) flushHeld() {

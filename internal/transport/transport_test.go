@@ -200,3 +200,38 @@ func TestSameSeedSameSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldHookAnnouncesHoldbacks pins the held hook's contract: it
+// fires when a holdback appears on a direction that had none, not for
+// later holdbacks behind it, again after a flush empties the
+// direction, and from SetNotify itself when holdbacks already wait.
+func TestHeldHookAnnouncesHoldbacks(t *testing.T) {
+	fp := fault.NewPlane()
+	fp.SetPacketFault(func(n uint64, dir uint8, payload []byte) fault.PacketFate {
+		return fault.PacketFate{Delay: 10}
+	})
+	l := NewLink(LinkConfig{Plane: fp})
+	nodeEnd, collEnd := l.NodeEnd(), l.CollectorEnd()
+	var ready, held int
+	collEnd.SetNotify(func() { ready++ }, func() { held++ })
+
+	nodeEnd.Send(Packet{Kind: KindReport, Node: 1, Seq: 0})
+	nodeEnd.Send(Packet{Kind: KindReport, Node: 1, Seq: 1})
+	if held != 1 || ready != 0 {
+		t.Fatalf("two holdbacks: held hook fired %d times, ready %d; want 1, 0", held, ready)
+	}
+	collEnd.FlushHeld()
+	if ready != 1 || collEnd.Pending() != 2 {
+		t.Fatalf("flush: ready fired %d times with %d pending, want 1 and 2", ready, collEnd.Pending())
+	}
+	nodeEnd.Send(Packet{Kind: KindReport, Node: 1, Seq: 2})
+	if held != 2 {
+		t.Fatalf("holdback after a flush: held hook fired %d times in all, want 2", held)
+	}
+	// A hook installed over a waiting holdback hears about it at once.
+	held = 0
+	collEnd.SetNotify(func() { ready++ }, func() { held++ })
+	if held != 1 {
+		t.Fatalf("SetNotify over a waiting holdback fired the held hook %d times, want 1", held)
+	}
+}
